@@ -1,0 +1,19 @@
+//! Order statistics over timing samples.
+
+/// Linear-interpolated quantile `q ∈ [0, 1]` of `xs` (0 when empty).
+pub fn quantile(xs: &[f64], q: f64) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q * (v.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+/// Median of `xs` (0 when empty).
+pub fn median(xs: &[f64]) -> f64 {
+    quantile(xs, 0.5)
+}

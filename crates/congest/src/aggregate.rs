@@ -96,10 +96,6 @@ impl<'t> ShardedProtocol for Aggregate<'t> {
         2 + word_bits(d.finite().unwrap_or(0))
     }
 
-    fn shared(&self) -> &Self::Shared {
-        &self.shared
-    }
-
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
         (&self.shared, &mut self.nodes)
     }
@@ -171,7 +167,7 @@ pub fn aggregate(net: &mut Network<'_>, tree: &BfsTree, op: AggOp, values: &[Dis
             })
             .collect(),
     };
-    net.run_until_quiet_par("aggregate", &mut proto, 8 * (tree.height + 2))
+    net.run_until_quiet("aggregate", &mut proto, 8 * (tree.height + 2))
         .expect("aggregation quiesces in O(height)");
     proto.nodes[tree.root]
         .result

@@ -122,10 +122,6 @@ impl ShardedProtocol for TreeProtocol {
         }
     }
 
-    fn shared(&self) -> &TreeShared {
-        &self.shared
-    }
-
     fn split(&mut self) -> (&TreeShared, &mut [TreeNode]) {
         (&self.shared, &mut self.nodes)
     }
@@ -204,7 +200,7 @@ pub fn build_bfs_tree(
             n
         ],
     };
-    let stats = net.run_until_quiet_par("bfs-tree", &mut proto, 2 * n as u64 + 4)?;
+    let stats = net.run_until_quiet("bfs-tree", &mut proto, 2 * n as u64 + 4)?;
     let mut depth = Vec::with_capacity(n);
     let mut joined = 0usize;
     let mut witness = None;

@@ -56,10 +56,6 @@ where
         }
     }
 
-    fn shared(&self) -> &Self::Shared {
-        &self.shared
-    }
-
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
         (&self.shared, &mut self.nodes)
     }
@@ -161,7 +157,7 @@ pub fn broadcast<T: Clone + Send + Sync>(
     };
     let budget = 4 * (total as u64 + tree.height) + 16;
     let stats = net
-        .run_until_quiet_par(phase, &mut proto, budget)
+        .run_until_quiet(phase, &mut proto, budget)
         .expect("broadcast quiesces within O(M + D)");
     (
         proto.nodes.into_iter().map(|nd| nd.delivered).collect(),

@@ -4,9 +4,9 @@
 //! failures and recoveries, node crashes and restarts, and per-message
 //! probabilistic drop/delay. The engine applies the plan at **commit
 //! time** — the moment a round's staged sends become next-round inboxes
-//! — in both the sequential and the sharded-parallel round loops, so a
-//! protocol never observes *how* faults were evaluated, only which
-//! messages arrived.
+//! — as a filter stage of the engine's one commit, whichever way the
+//! round was stepped, so a protocol never observes *how* faults were
+//! evaluated, only which messages arrived.
 //!
 //! # Fault model
 //!
@@ -59,16 +59,11 @@
 //!
 //! # Interaction with adaptive dispatch
 //!
-//! When a plan is attached, parallel rounds still *step* shards on
-//! worker threads, but the fused derivation pass is skipped and the
-//! commit (fate evaluation, delay queue, accounting, counting sort)
-//! runs on the main thread over the ascending-shard concatenation of
-//! the shard stagings — the exact sequential send order. Fault
-//! injection is a robustness feature, not a throughput feature: it
-//! trades the parallel commit for a commit that is bit-identical by
-//! construction. The adaptive dispatcher's routing (and its
-//! [`crate::DispatchStats`]) is unaffected and, as always, never
-//! changes results.
+//! Faults live entirely in the commit, which always runs on the caller
+//! thread over the ascending-shard join of the shard stagings — the
+//! send order of a single-threaded sweep. Whether the step phase fanned
+//! out (and the dispatcher's [`crate::DispatchStats`]) is therefore
+//! invisible to fate evaluation, the delay queue, and the accounting.
 
 use graphkit::{EdgeId, NodeId};
 

@@ -17,16 +17,16 @@
 //!
 //! # The engine
 //!
-//! [`Network`] + [`Protocol`]: algorithms are state machines; the engine
-//! owns delivery, round counting, bit accounting, and optional cut
-//! accounting (bits crossing a labelled vertex cut — used by the
+//! [`Network`] + [`ShardedProtocol`]: algorithms are state machines; the
+//! engine owns delivery, round counting, bit accounting, and optional
+//! cut accounting (bits crossing a labelled vertex cut — used by the
 //! Section 6 lower-bound experiments).
 //!
 //! Internally the engine is built for the paper's regime — protocols
 //! whose rounds vastly outnumber their busy nodes:
 //!
 //! - **Active-set scheduling.** A protocol declares its scheduling
-//!   contract via [`Protocol::scheduling`]. Under
+//!   contract via [`ShardedProtocol::scheduling`]. Under
 //!   [`Scheduling::ActiveSet`], a node is stepped only when it is in
 //!   round 0, received a message this round, or re-armed itself with
 //!   [`NodeCtx::wake`] in the previous round; senders implicitly arm
@@ -45,26 +45,24 @@
 //!   monotonically increasing round generations instead of being
 //!   cleared, and all non-message buffers live on the [`Network`], reused
 //!   across rounds *and* phases.
-//! - **Deterministic sharded parallelism.** A protocol that factors its
-//!   state into a `Sync` shared part and a per-node slice
-//!   ([`ShardedProtocol`]) can be driven through
-//!   [`Network::run_rounds_par`] / [`Network::run_until_quiet_par`]:
-//!   worker threads (std scoped threads, no unsafe) execute a
-//!   three-phase pipeline over disjoint contiguous node shards whose
-//!   boundaries are degree-balanced (prefix sums of `1 + deg(v)`), so
-//!   hub-heavy topologies don't serialize on one hot shard. Workers
-//!   step their shards and derive all per-message bookkeeping
-//!   shard-locally — CONGEST checks, bit accounting, destination
-//!   histograms, and a shard-local counting sort; the main thread
-//!   merges histograms in ascending shard order (reproducing the exact
-//!   sequential first-touch destination order) and prefix-scans the
-//!   arena layout; workers then gather disjoint inbox ranges — so
-//!   per-destination inbox order is bit-identical by construction, not
-//!   by luck. Whether a round fans out at all is decided by an adaptive
-//!   cost model (EWMA of measured sequential vs parallel round cost,
-//!   reported as [`DispatchStats`]), so sparse active-set workloads
-//!   never regress; thread count comes from the `CONGEST_THREADS`
-//!   environment variable or [`Network::set_threads`].
+//! - **Deterministic sharded stepping.** A protocol factors its state
+//!   into a `Sync` shared part and a per-node slice
+//!   ([`ShardedProtocol`]), and [`Network::run_rounds`] /
+//!   [`Network::run_until_quiet`] drive it through one round loop. Each
+//!   round first steps the scheduled nodes — inline on the caller
+//!   thread, or fanned out over worker threads (std scoped threads, no
+//!   unsafe) on disjoint contiguous node shards whose boundaries are
+//!   degree-balanced (prefix sums of `1 + deg(v)`), so hub-heavy
+//!   topologies don't serialize on one hot shard. Every shard stages its
+//!   sends locally; the stagings are joined in ascending shard order,
+//!   which is exactly the send order of a single-threaded sweep, and one
+//!   commit on the caller thread delivers them — so per-destination
+//!   inbox order is bit-identical by construction, not by luck. Whether
+//!   a round's step phase fans out at all is decided by an adaptive cost
+//!   model (EWMA of measured inline vs fanned-out round cost, reported
+//!   as [`DispatchStats`]), so sparse active-set workloads never
+//!   regress; thread count comes from the `CONGEST_THREADS` environment
+//!   variable or [`Network::set_threads`].
 //!
 //! **Invariant:** scheduling and parallelism are wall-clock
 //! optimizations with no effect on the measured model quantities.
@@ -72,17 +70,19 @@
 //! every [`RunStats`] field are bit-identical between `ActiveSet` and
 //! `FullSweep` runs and across all thread counts and shard geometries;
 //! the differential suite in `tests/engine_equivalence.rs` asserts this
-//! for every primitive and every end-to-end solver, and a property test
-//! randomizes shard boundaries. Table 1 numbers depend only on the
-//! model, never on the schedule or the hardware.
+//! for every primitive and every end-to-end solver, and property tests
+//! randomize shard boundaries and check delivery against a model of the
+//! CONGEST send rule that shares no code with the engine. Table 1
+//! numbers depend only on the model, never on the schedule or the
+//! hardware.
 //!
 //! # Fault injection
 //!
 //! The invariant extends to *misbehaving* networks: a seeded
 //! [`FaultPlan`] ([`faults`]) attaches timed link failures, node
 //! crashes, and probabilistic message drop/delay to a [`Network`]
-//! ([`Network::set_fault_plan`]), applied at commit time in both the
-//! sequential and the sharded-parallel round loops. Every per-message
+//! ([`Network::set_fault_plan`]), applied as a filter stage of the one
+//! commit, whichever way the round was stepped. Every per-message
 //! decision hashes `(seed, round, link, direction)` — message identity,
 //! not draw order — so a fixed plan yields bit-identical delivery,
 //! [`RunStats`], and [`FaultStats`] at any `CONGEST_THREADS` setting;
@@ -91,11 +91,9 @@
 //!
 //! **Coverage:** every protocol shipped by this crate — BFS-tree
 //! construction, broadcast, aggregation, multi-source BFS, and both
-//! pipelines — implements [`ShardedProtocol`] and is driven through the
-//! sharded-parallel entry points; there is no sequential-only protocol
-//! left. New protocols should implement [`ShardedProtocol`] directly
-//! (the blanket [`Protocol`] impl keeps them runnable on the sequential
-//! engine and in differential tests for free).
+//! pipelines — implements [`ShardedProtocol`], the engine's only
+//! protocol interface, so every phase can fan out and every phase is
+//! checked by the same differential tests.
 //!
 //! # Communication primitives
 //! - [`bfs_tree`]: distributed BFS tree over the underlying undirected
@@ -127,5 +125,5 @@ pub mod pipeline;
 pub use faults::{Fate, FaultPlan};
 pub use metrics::{CacheStats, DispatchStats, FaultStats, Metrics, PhaseStats, RunStats};
 pub use network::{
-    word_bits, EngineError, Network, NodeCtx, Port, Protocol, Scheduling, ShardedProtocol, Side,
+    word_bits, EngineError, Network, NodeCtx, Port, Scheduling, ShardedProtocol, Side,
 };

@@ -50,7 +50,7 @@ pub struct PhaseStats {
     pub stats: RunStats,
 }
 
-/// Telemetry from the engine's adaptive sequential/parallel dispatcher.
+/// Telemetry from the engine's adaptive inline/fanned-out dispatcher.
 ///
 /// Pure wall-clock bookkeeping: how rounds were routed and what the
 /// cost model currently believes. Unlike [`RunStats`], none of this is
@@ -59,19 +59,20 @@ pub struct PhaseStats {
 /// [`Metrics`] equality deliberately ignores it.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct DispatchStats {
-    /// Rounds executed on the parallel three-phase pipeline.
+    /// Rounds whose step phase fanned out over the worker shards (the
+    /// commit always runs on the caller thread).
     pub par_rounds: u64,
     /// Contested rounds (at or above the work floor) the cost model
-    /// routed to the sequential path.
+    /// stepped inline on the caller thread.
     pub seq_rounds: u64,
-    /// Rounds below the work floor, sequential without consulting the
-    /// cost model.
+    /// Rounds below the work floor, stepped inline without consulting
+    /// the cost model.
     pub floor_rounds: u64,
-    /// Latest EWMA estimate of sequential nanoseconds per unit of work
-    /// (0 when never measured).
+    /// Latest EWMA estimate of inline-round nanoseconds per unit of
+    /// work (0 when never measured).
     pub ewma_seq_ns_per_unit: f64,
-    /// Latest EWMA estimate of parallel nanoseconds per unit of work
-    /// (0 when never measured).
+    /// Latest EWMA estimate of fanned-out-round nanoseconds per unit of
+    /// work (0 when never measured).
     pub ewma_par_ns_per_unit: f64,
 }
 

@@ -133,10 +133,6 @@ impl<'c, F: Fn(EdgeId) -> bool + Sync> ShardedProtocol for MultiBfsProtocol<'c, 
         word_bits(msg.src as u64) + word_bits(msg.dist as u64)
     }
 
-    fn shared(&self) -> &Self::Shared {
-        &self.shared
-    }
-
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
         (&self.shared, &mut self.nodes)
     }
@@ -255,7 +251,7 @@ pub fn multi_source_bfs(
             })
             .collect(),
     };
-    let stats = net.run_until_quiet_par(phase, &mut proto, max_rounds)?;
+    let stats = net.run_until_quiet(phase, &mut proto, max_rounds)?;
     let mut out = vec![vec![Dist::INF; n]; k];
     for (v, node) in proto.nodes.iter().enumerate() {
         for s in 0..k {

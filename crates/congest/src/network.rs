@@ -2,61 +2,52 @@
 //!
 //! Three engine-level optimizations keep simulation wall-clock
 //! proportional to *traffic* rather than `Θ(n · rounds)`, and then split
-//! that traffic across cores:
+//! the protocol work across cores:
 //!
 //! - **Active-set scheduling**: protocols that opt in via
-//!   [`Protocol::scheduling`] are stepped only at nodes that can act —
-//!   nodes that received a message, nodes in round 0, and nodes that
-//!   explicitly re-armed themselves with [`NodeCtx::wake`]. Unmigrated
-//!   protocols keep the full-sweep behavior.
+//!   [`ShardedProtocol::scheduling`] are stepped only at nodes that can
+//!   act — nodes that received a message, nodes in round 0, and nodes
+//!   that explicitly re-armed themselves with [`NodeCtx::wake`].
+//!   Unmigrated protocols keep the full-sweep behavior.
 //! - **Flat mailbox arenas**: instead of per-node `Vec<Vec<_>>` inboxes
 //!   and a reallocated outbox, one staging buffer is counting-sorted by
 //!   destination into a CSR-bucketed arena each round. Occupancy and
 //!   validity checks use monotonically increasing round generations, so
 //!   nothing is cleared between rounds or phases.
-//! - **Deterministic sharded parallelism**: protocols that store their
-//!   per-node state in a slice ([`ShardedProtocol`]) are executed by a
-//!   three-phase pipeline ([`Network::run_rounds_par`] /
-//!   [`Network::run_until_quiet_par`]) over disjoint contiguous node
-//!   shards whose boundaries are *degree-balanced*: shard `k` ends
-//!   where the prefix sum of `1 + deg(v)` reaches its share of the
-//!   total, so a star or power-law hub no longer serializes one hot
-//!   shard ([`Network::set_shard_bounds`] overrides the geometry).
+//! - **Deterministic sharded stepping**: protocols store their per-node
+//!   state in a slice ([`ShardedProtocol`]), so the nodes of a round can
+//!   be stepped from worker threads over disjoint contiguous shards
+//!   whose boundaries are *degree-balanced*: shard `k` ends where the
+//!   prefix sum of `1 + deg(v)` reaches its share of the total, so a
+//!   star or power-law hub does not serialize one hot shard
+//!   ([`Network::set_shard_bounds`] overrides the geometry).
 //!
-//! The parallel pipeline runs each round in three phases:
+//! There is one round loop, and each round has two phases:
 //!
-//! 1. **Step + derive** (workers): each worker steps its shard, staging
-//!    sends into a shard-local buffer, then runs the per-message
-//!    derivation — bandwidth check, bit and cut accounting, the CONGEST
-//!    one-message-per-link-direction check (shard-local, because a link
-//!    direction is owned by exactly one sender and a sender lives in
-//!    exactly one shard), a per-destination histogram, and a shard-local
-//!    stable counting sort by destination.
-//! 2. **Merge + scan** (main thread): shard histograms are merged in
-//!    ascending shard order — reproducing the exact sequential
-//!    first-touch destination order — and an exclusive prefix scan
-//!    assigns every destination its contiguous inbox slice in the
-//!    arena.
-//! 3. **Gather** (workers): destinations are partitioned into
-//!    message-count-balanced ranges; each worker materializes its
-//!    ranges' inbox slices by walking the shard-local sort orders in
-//!    ascending shard order, so every arena entry is identical to the
-//!    sequential counting sort's.
+//! 1. **Step**: the scheduled nodes are stepped either inline on the
+//!    caller thread, as one whole-range shard, or fanned out over the
+//!    shards on worker threads. Every shard stages its sends and its
+//!    wake requests in shard-local buffers, in ascending node order.
+//! 2. **Commit** (caller thread): the shard stagings are joined in
+//!    ascending shard order — exactly the send order of a sequential
+//!    sweep — and one commit enforces the CONGEST checks, accounts bits,
+//!    lets an attached [`FaultPlan`] decide each message's fate, and
+//!    counting-sorts the deliveries into the arena.
 //!
-//! Whether a round takes the parallel pipeline or the sequential commit
-//! is decided per round by an adaptive cost model: rounds below a work
-//! floor stay sequential outright, and contested rounds are timed, with
-//! EWMA estimates of sequential vs parallel nanoseconds per unit of
-//! work picking the predicted-cheaper path (probing the other one
-//! occasionally so the estimates track phase changes). The decision is
-//! recorded as [`DispatchStats`] telemetry in [`Metrics`] and never
-//! affects results — only wall-clock.
+//! Whether a round's step phase fans out is decided per round by an
+//! adaptive cost model: rounds below a work floor stay inline outright,
+//! and contested rounds are timed, with EWMA estimates of inline vs
+//! fanned-out nanoseconds per unit of work picking the predicted-cheaper
+//! way (probing the other one occasionally so the estimates track phase
+//! changes). The decision is recorded as [`DispatchStats`] telemetry in
+//! [`Metrics`] and never affects results — only wall-clock.
 //!
 //! All of these are pure wall-clock optimizations: the delivered
 //! messages, their per-destination order, and all [`RunStats`]
-//! accounting are bit-exact with a sequential full sweep (asserted by
-//! `tests/engine_equivalence.rs` across schedules, thread counts, and
-//! shard geometries).
+//! accounting are bit-exact with a single-threaded full sweep (asserted
+//! by `tests/engine_equivalence.rs` across schedules, thread counts, and
+//! shard geometries, and against an engine-independent delivery model
+//! in `tests/primitives_properties.rs`).
 
 use std::fmt;
 
@@ -112,8 +103,8 @@ pub enum EngineError {
     /// without rerunning: a protocol that is *still making progress*
     /// (nonzero `last_active`/`last_messages`) merely needs a larger
     /// budget, while one that exhausted the budget in silence is
-    /// livelocked on [`Protocol::idle`] or stranded in-flight (delayed)
-    /// traffic under a fault plan.
+    /// livelocked on [`ShardedProtocol::idle`] or stranded in-flight
+    /// (delayed) traffic under a fault plan.
     RoundLimitExceeded {
         /// The configured budget.
         max_rounds: u64,
@@ -151,10 +142,10 @@ impl std::error::Error for EngineError {}
 
 /// How the engine decides which nodes to step each round.
 ///
-/// This is part of the [`Protocol`] contract, declared via
-/// [`Protocol::scheduling`]. It affects only which `on_round` calls are
-/// made — never what is delivered, in which order, or what is charged to
-/// [`RunStats`].
+/// This is part of the [`ShardedProtocol`] contract, declared via
+/// [`ShardedProtocol::scheduling`]. It affects only which `step_node`
+/// calls are made — never what is delivered, in which order, or what is
+/// charged to [`RunStats`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scheduling {
     /// Every node is stepped every round (the default, and the reference
@@ -231,48 +222,7 @@ impl<'a, M> NodeCtx<'a, M> {
 
 /// A distributed algorithm driven by the engine.
 ///
-/// One `Protocol` value holds the state of *all* nodes (typically as
-/// `Vec`s indexed by `NodeId`); the engine calls [`Protocol::on_round`]
-/// once per scheduled node per round. Implementations must only read and
-/// write the state of `ctx.node` — all cross-node information must flow
-/// through messages. The engine cannot enforce this discipline, but it
-/// does enforce the bandwidth constraints on everything that is sent.
-pub trait Protocol {
-    /// The message type. Its size in bits is declared via
-    /// [`Protocol::msg_bits`] and checked against the network bandwidth.
-    type Msg: Clone;
-
-    /// Declared size of a message in bits; must be `O(log n)` (fit the
-    /// network's bandwidth).
-    fn msg_bits(&self, msg: &Self::Msg) -> u64;
-
-    /// Executes one round at `ctx.node`: read `ctx.inbox()`, update local
-    /// state, send messages.
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_, Self::Msg>);
-
-    /// `false` while the protocol has internal pending work even though no
-    /// messages are in flight (e.g. delayed deliveries or staggered
-    /// starts). Quiescence requires `idle()` *and* an empty network.
-    fn idle(&self) -> bool {
-        true
-    }
-
-    /// The scheduling contract this protocol upholds; defaults to the
-    /// always-correct [`Scheduling::FullSweep`]. Override to
-    /// [`Scheduling::ActiveSet`] once `on_round` is sweep-agnostic (see
-    /// [`Scheduling`]) — the engine then skips idle nodes, which is the
-    /// difference between `Θ(n · rounds)` and `Θ(traffic)` simulation
-    /// cost on sparse workloads.
-    fn scheduling(&self) -> Scheduling {
-        Scheduling::FullSweep
-    }
-}
-
-/// A protocol whose per-node state is a slice the engine can split into
-/// disjoint contiguous shards and step from worker threads.
-///
-/// This is the data-parallel refinement of [`Protocol`]: instead of one
-/// `&mut self` entry point per node, the protocol factors its state into
+/// The protocol factors its state into
 ///
 /// - [`ShardedProtocol::Shared`] — configuration and topology read by
 ///   every node (`Sync`, immutable during a round), and
@@ -280,29 +230,26 @@ pub trait Protocol {
 ///   contiguously in node-id order and exposed via
 ///   [`ShardedProtocol::split`].
 ///
-/// [`ShardedProtocol::step_node`] may touch *only* the given node's
-/// state; the type system enforces it (each worker holds `&mut` to its
-/// shard alone), which is exactly the locality discipline the CONGEST
-/// model asks for anyway.
-///
-/// Every `ShardedProtocol` is automatically a [`Protocol`] (a blanket
-/// impl steps single nodes through the same `step_node`), so sharded
-/// protocols run unchanged on the sequential engine, under
-/// [`Network::set_full_sweep`], and in differential tests.
+/// The engine calls [`ShardedProtocol::step_node`] once per scheduled
+/// node per round. It may touch *only* the given node's state; the type
+/// system enforces it (each worker holds `&mut` to its shard alone),
+/// which is exactly the locality discipline the CONGEST model asks for
+/// anyway: all cross-node information must flow through messages, and
+/// the engine enforces the bandwidth constraints on everything sent.
 ///
 /// # Determinism contract
 ///
-/// The engine guarantees that a parallel run is bit-identical to a
-/// sequential one for *any* implementation: workers step ascending node
-/// ranges, stage sends into shard-local buffers, and the buffers are
-/// concatenated in ascending shard order before delivery, so the
-/// counting sort sees the exact sequential send order. The only
-/// obligation on the implementation is the usual one — `step_node` must
-/// depend only on `Shared`, its own `Node`, and the [`NodeCtx`] (no
-/// interior-mutable side channels in `Shared`).
+/// A run is bit-identical at any thread count and shard geometry for
+/// *any* implementation: nodes are stepped in ascending order within a
+/// shard, sends are staged shard-locally, and the stagings are joined in
+/// ascending shard order before one commit delivers them, so the
+/// counting sort always sees the send order of a single-threaded sweep.
+/// The only obligation on the implementation is the usual one —
+/// `step_node` must depend only on `Shared`, its own `Node`, and the
+/// [`NodeCtx`] (no interior-mutable side channels in `Shared`).
 pub trait ShardedProtocol {
-    /// The message type (see [`Protocol::Msg`]); `Send + Sync` so
-    /// workers can read delivery arenas and stage sends across threads.
+    /// The message type; `Send + Sync` so workers can read delivery
+    /// arenas and stage sends across threads.
     type Msg: Clone + Send + Sync;
 
     /// Per-node state, stored contiguously in node-id order.
@@ -311,50 +258,33 @@ pub trait ShardedProtocol {
     /// State shared read-only by all nodes within a round.
     type Shared: Sync;
 
-    /// Declared size of a message in bits (see [`Protocol::msg_bits`]).
+    /// Declared size of a message in bits; must be `O(log n)` (fit the
+    /// network's bandwidth).
     fn msg_bits(shared: &Self::Shared, msg: &Self::Msg) -> u64;
-
-    /// The shared read-only state.
-    fn shared(&self) -> &Self::Shared;
 
     /// Splits the protocol into its shared state and the per-node state
     /// slice (`len == n`, indexed by `NodeId`).
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]);
 
-    /// Executes one round at `ctx.node`, touching only `node` (that
-    /// node's state slot) and `shared`.
+    /// Executes one round at `ctx.node`: read `ctx.inbox()`, update
+    /// `node` (that node's state slot), send messages.
     fn step_node(shared: &Self::Shared, node: &mut Self::Node, ctx: &mut NodeCtx<'_, Self::Msg>);
 
-    /// See [`Protocol::idle`].
+    /// `false` while the protocol has internal pending work even though
+    /// no messages are in flight (e.g. delayed deliveries or staggered
+    /// starts). Quiescence requires `idle()` *and* an empty network.
     fn idle(&self) -> bool {
         true
     }
 
-    /// See [`Protocol::scheduling`].
+    /// The scheduling contract this protocol upholds; defaults to the
+    /// always-correct [`Scheduling::FullSweep`]. Override to
+    /// [`Scheduling::ActiveSet`] once `step_node` is sweep-agnostic (see
+    /// [`Scheduling`]) — the engine then skips idle nodes, which is the
+    /// difference between `Θ(n · rounds)` and `Θ(traffic)` simulation
+    /// cost on sparse workloads.
     fn scheduling(&self) -> Scheduling {
         Scheduling::FullSweep
-    }
-}
-
-impl<P: ShardedProtocol> Protocol for P {
-    type Msg = P::Msg;
-
-    fn msg_bits(&self, msg: &P::Msg) -> u64 {
-        P::msg_bits(self.shared(), msg)
-    }
-
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_, P::Msg>) {
-        let v = ctx.node;
-        let (shared, nodes) = self.split();
-        P::step_node(shared, &mut nodes[v], ctx);
-    }
-
-    fn idle(&self) -> bool {
-        <P as ShardedProtocol>::idle(self)
-    }
-
-    fn scheduling(&self) -> Scheduling {
-        <P as ShardedProtocol>::scheduling(self)
     }
 }
 
@@ -387,18 +317,15 @@ struct EngineScratch {
     next_active: Vec<u32>,
     /// Destinations that received at least one message this round.
     touched: Vec<u32>,
-    /// Per staged message: destination node.
+    /// Per delivered message: destination node.
     dests: Vec<u32>,
-    /// Per staged message: receiving port at the destination.
+    /// Per delivered message: receiving port at the destination.
     recv_ports: Vec<u32>,
-    /// Stable counting-sort permutation (arena slot -> staging index).
+    /// Stable counting-sort permutation (arena slot -> delivery index).
     order: Vec<u32>,
-    /// Inclusive prefix sum of per-destination counts over `touched`
-    /// (length `touched.len() + 1`), used to balance the gather phase.
-    touched_prefix: Vec<u64>,
-    /// Per-shard worker scratch for the parallel pipeline, persisted
-    /// across rounds and drives like everything else here.
-    shard_scratch: Vec<ShardScratch>,
+    /// Per shard: nodes that called [`NodeCtx::wake`] this round,
+    /// ascending; entry 0 also serves inline rounds.
+    woke: Vec<Vec<u32>>,
 }
 
 impl EngineScratch {
@@ -418,100 +345,8 @@ impl EngineScratch {
             dests: Vec::new(),
             recv_ports: Vec::new(),
             order: Vec::new(),
-            touched_prefix: Vec::new(),
-            shard_scratch: Vec::new(),
-        }
-    }
-
-    /// Guarantees at least `shards` per-shard scratches, each with
-    /// node-indexed arrays of length `n`. New entries are zeroed, which
-    /// the generation stamping treats as "never valid".
-    fn ensure_shards(&mut self, shards: usize, n: usize) {
-        if self.shard_scratch.len() < shards {
-            self.shard_scratch.resize_with(shards, ShardScratch::new);
-        }
-        for scr in &mut self.shard_scratch[..shards] {
-            if scr.count_stamp.len() < n {
-                scr.count_stamp.resize(n, 0);
-                scr.local_count.resize(n, 0);
-                scr.local_start.resize(n, 0);
-            }
-        }
-    }
-}
-
-/// Non-generic scratch owned by one worker shard, reused across rounds.
-///
-/// The node-indexed arrays (`count_stamp`/`local_count`/`local_start`)
-/// are validity-stamped by round generation like the global scratch, so
-/// nothing is cleared between rounds; the message-indexed vectors are
-/// rebuilt from empty each round but keep their capacity.
-struct ShardScratch {
-    /// Per staged message: destination node.
-    dests: Vec<u32>,
-    /// Per staged message: receiving port at the destination.
-    recv_ports: Vec<u32>,
-    /// Destinations first touched by this shard's sends, in send order.
-    touched: Vec<u32>,
-    /// Per destination: generation at which `local_count` is valid.
-    count_stamp: Vec<u64>,
-    /// Per destination: messages this shard sent to it this round.
-    local_count: Vec<u32>,
-    /// Per destination: placement cursor during the shard-local
-    /// counting sort; afterwards the *end* of the destination's run in
-    /// `order` (start = end - `local_count`).
-    local_start: Vec<u32>,
-    /// Shard-local stable counting-sort permutation
-    /// (run slot -> shard staging index).
-    order: Vec<u32>,
-    /// Per sender port index: `port_block` of the last staged send,
-    /// grown lazily to the widest port index seen. Detects duplicate
-    /// sends on one link direction: a direction is owned by exactly one
-    /// (sender, port) pair, and a sender's sends are consecutive in the
-    /// staging buffer, so a repeat port within one sender block is
-    /// exactly a CONGEST occupancy violation.
-    port_seen: Vec<u64>,
-    /// Monotone per-sender-block counter stamping `port_seen` (starts
-    /// at 1 so lazily-zeroed entries never collide).
-    port_block: u64,
-    /// Nodes in this shard that called [`NodeCtx::wake`], ascending.
-    woke: Vec<u32>,
-    /// Partial [`RunStats`] accounting for this shard's sends.
-    messages: u64,
-    bits: u64,
-    max_bits: u64,
-    cut_bits: u64,
-}
-
-impl ShardScratch {
-    fn new() -> ShardScratch {
-        ShardScratch {
-            dests: Vec::new(),
-            recv_ports: Vec::new(),
-            touched: Vec::new(),
-            count_stamp: Vec::new(),
-            local_count: Vec::new(),
-            local_start: Vec::new(),
-            order: Vec::new(),
-            port_seen: Vec::new(),
-            port_block: 0,
             woke: Vec::new(),
-            messages: 0,
-            bits: 0,
-            max_bits: 0,
-            cut_bits: 0,
         }
-    }
-
-    fn clear_round(&mut self) {
-        self.dests.clear();
-        self.recv_ports.clear();
-        self.touched.clear();
-        self.woke.clear();
-        self.messages = 0;
-        self.bits = 0;
-        self.max_bits = 0;
-        self.cut_bits = 0;
     }
 }
 
@@ -542,12 +377,10 @@ pub struct Network<'g> {
     scratch: EngineScratch,
     force_full_sweep: bool,
     pool: shardpool::Pool,
-    /// Work floor: rounds below `step_count + delivered` stay on the
-    /// sequential path without consulting the cost model; `0` forces
-    /// the parallel pipeline on every round.
+    /// Work floor: rounds below `step_count + delivered` are stepped
+    /// inline without consulting the cost model; `0` fans out the step
+    /// phase of every round.
     par_node_threshold: usize,
-    /// Minimum staged messages before the gather phase fans out.
-    par_msg_threshold: usize,
     /// Explicit interior shard split points (testing/tuning); `None`
     /// means degree-balanced chunks of the node range.
     shard_bounds: Option<Vec<usize>>,
@@ -613,7 +446,6 @@ impl<'g> Network<'g> {
             force_full_sweep: false,
             pool: shardpool::Pool::from_env("CONGEST_THREADS"),
             par_node_threshold: DEFAULT_PAR_NODE_THRESHOLD,
-            par_msg_threshold: DEFAULT_PAR_MSG_THRESHOLD,
             shard_bounds: None,
             deg_prefix,
             dispatch: DispatchModel::default(),
@@ -639,11 +471,10 @@ impl<'g> Network<'g> {
         self.force_full_sweep = on;
     }
 
-    /// Sets the number of worker threads for the sharded-parallel
-    /// entry points ([`Network::run_rounds_par`] and
-    /// [`Network::run_until_quiet_par`]). `1` forces sequential
-    /// execution; the default comes from the `CONGEST_THREADS`
-    /// environment variable (unset/`0` = auto-detect).
+    /// Sets the number of worker threads the step phase may fan out
+    /// over. `1` steps every round on the caller thread; the default
+    /// comes from the `CONGEST_THREADS` environment variable
+    /// (unset/`0` = auto-detect).
     ///
     /// Thread count never affects results — only wall-clock.
     pub fn set_threads(&mut self, threads: usize) {
@@ -657,15 +488,13 @@ impl<'g> Network<'g> {
     }
 
     /// Sets the adaptive dispatcher's work floor: rounds whose work
-    /// (nodes stepped plus messages delivered) falls below `nodes` run
-    /// sequentially without consulting the cost model, and gather-phase
-    /// fan-out requires at least `4 * nodes` staged messages. `0`
-    /// disables the floor *and* the cost model — every eligible round
-    /// takes the parallel pipeline, which the differential tests use to
+    /// (nodes stepped plus messages delivered) falls below `nodes` are
+    /// stepped inline without consulting the cost model. `0` disables
+    /// the floor *and* the cost model — the step phase of every round
+    /// fans out over the shards, which the differential tests use to
     /// exercise parallelism deterministically on small graphs.
     pub fn set_parallel_threshold(&mut self, nodes: usize) {
         self.par_node_threshold = nodes;
-        self.par_msg_threshold = 4 * nodes;
     }
 
     /// Overrides the shard boundaries with explicit interior split
@@ -797,7 +626,12 @@ impl<'g> Network<'g> {
     /// Panics if the protocol violates the CONGEST constraints (two
     /// messages on one link direction in a round, or an oversized
     /// message).
-    pub fn run_rounds<P: Protocol>(&mut self, name: &str, proto: &mut P, rounds: u64) -> RunStats {
+    pub fn run_rounds<P: ShardedProtocol>(
+        &mut self,
+        name: &str,
+        proto: &mut P,
+        rounds: u64,
+    ) -> RunStats {
         let out = self.drive(proto, Budget::Exact(rounds));
         self.metrics.record(name, out.stats);
         self.metrics.record_faults(out.faults);
@@ -807,11 +641,16 @@ impl<'g> Network<'g> {
     /// Runs `proto` until quiescence (no messages in flight and
     /// `proto.idle()`), up to `max_rounds`.
     ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::RoundLimitExceeded`] when the protocol
+    /// fails to quiesce within `max_rounds`.
+    ///
     /// # Panics
     ///
     /// Panics on CONGEST constraint violations, as in
     /// [`Network::run_rounds`].
-    pub fn run_until_quiet<P: Protocol>(
+    pub fn run_until_quiet<P: ShardedProtocol>(
         &mut self,
         name: &str,
         proto: &mut P,
@@ -826,67 +665,67 @@ impl<'g> Network<'g> {
         Ok(out.stats)
     }
 
-    /// [`Network::run_rounds`] on the sharded-parallel execution path:
-    /// rounds with enough work are stepped by worker threads over
-    /// disjoint node shards, with results bit-identical to the
-    /// sequential engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics on CONGEST constraint violations, as in
-    /// [`Network::run_rounds`].
-    pub fn run_rounds_par<P: ShardedProtocol>(
-        &mut self,
-        name: &str,
-        proto: &mut P,
-        rounds: u64,
-    ) -> RunStats {
-        let out = self.drive_par(proto, Budget::Exact(rounds));
-        self.metrics.record(name, out.stats);
-        self.metrics.record_faults(out.faults);
-        out.stats
-    }
-
-    /// [`Network::run_until_quiet`] on the sharded-parallel execution
-    /// path (see [`Network::run_rounds_par`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::RoundLimitExceeded`] when the protocol
-    /// fails to quiesce within `max_rounds`.
-    pub fn run_until_quiet_par<P: ShardedProtocol>(
-        &mut self,
-        name: &str,
-        proto: &mut P,
-        max_rounds: u64,
-    ) -> Result<RunStats, EngineError> {
-        let out = self.drive_par(proto, Budget::UntilQuiet(max_rounds));
-        if !out.quiesced {
-            return Err(out.round_limit_error(max_rounds));
-        }
-        self.metrics.record(name, out.stats);
-        self.metrics.record_faults(out.faults);
-        Ok(out.stats)
-    }
-
-    fn drive<P: Protocol>(&mut self, proto: &mut P, budget: Budget) -> DriveOutcome {
+    /// The shard geometry for one drive: the explicit split points if
+    /// set, else degree-balanced chunks, one per worker thread.
+    fn shards(&self) -> Vec<(usize, usize)> {
         let n = self.graph.node_count();
+        match &self.shard_bounds {
+            Some(splits) => {
+                let mut b = Vec::with_capacity(splits.len() + 1);
+                let mut lo = 0;
+                for &s in splits {
+                    debug_assert!(lo < s && s < n, "validated by set_shard_bounds");
+                    b.push((lo, s));
+                    lo = s;
+                }
+                b.push((lo, n));
+                b
+            }
+            None => shardpool::weighted_chunks(&self.deg_prefix, self.pool.threads()),
+        }
+    }
+
+    /// The round loop behind [`Network::run_rounds`] and
+    /// [`Network::run_until_quiet`].
+    ///
+    /// Each round steps the scheduled nodes — inline, or fanned out over
+    /// the shards when the adaptive dispatcher predicts that to be
+    /// cheaper — and then commits the ascending-shard join of the shard
+    /// stagings on the caller thread (see the module docs).
+    fn drive<P: ShardedProtocol>(&mut self, proto: &mut P, budget: Budget) -> DriveOutcome {
+        let n = self.graph.node_count();
+        // Shard geometry is fixed for the whole drive; without workers
+        // to fan out to, the whole node range is one shard.
+        let parallel = self.pool.threads() > 1 && n > 0;
+        let bounds = if parallel {
+            self.shards()
+        } else {
+            vec![(0, n)]
+        };
+        let shards = bounds.len();
         let full_sweep = self.force_full_sweep || proto.scheduling() == Scheduling::FullSweep;
         let mut stats = RunStats::default();
-        // The only per-drive (message-typed) buffers; both are filled and
+        // The only per-drive (message-typed) buffers; all are filled and
         // drained wholesale, so they stabilize at peak traffic size after
-        // the first few rounds.
-        let mut staging: Vec<(NodeId, u32, Option<P::Msg>)> = Vec::new();
+        // the first few rounds. `stagings[0]` is also the joined staging
+        // the commit consumes.
+        let mut stagings: Vec<Vec<(NodeId, u32, Option<P::Msg>)>> =
+            (0..shards).map(|_| Vec::new()).collect();
         let mut arena: Vec<(u32, P::Msg)> = Vec::new();
         // Split borrows: scratch is mutated while ports/edge_ports/cut
         // are read, which the compiler allows per-field.
         let ports = &self.ports;
         let edge_ports = &self.edge_ports;
-        let cut = &self.cut;
+        let cut = self.cut.as_deref();
         let bandwidth = self.bandwidth;
+        let pool = &self.pool;
+        let node_threshold = self.par_node_threshold;
+        let model = &mut self.dispatch;
+        let mut dstats = DispatchStats::default();
         let mut fault_run: Option<FaultRun<'_, P::Msg>> =
             self.fault_plan.as_ref().map(FaultRun::new);
         let sc = &mut self.scratch;
+        sc.woke.resize_with(sc.woke.len().max(shards), Vec::new);
         sc.active.clear();
         sc.next_active.clear();
         let mut round: u64 = 0;
@@ -909,63 +748,114 @@ impl<'g> Network<'g> {
             let g = sc.generation;
             let step_all = full_sweep || step_all_next;
             let step_count = if step_all { n } else { sc.active.len() };
-            for i in 0..step_count {
-                let v = if step_all { i } else { sc.active[i] as usize };
-                let inbox: &[(u32, P::Msg)] = if sc.inbox_stamp[v] == g {
-                    let start = sc.inbox_start[v] as usize;
-                    &arena[start..start + sc.inbox_len[v] as usize]
-                } else {
-                    &[]
-                };
-                let mut woke = false;
-                let mut ctx = NodeCtx {
-                    node: v,
-                    round,
-                    ports: &ports[v],
-                    inbox,
-                    outbox: &mut staging,
-                    woke: &mut woke,
-                };
-                proto.on_round(&mut ctx);
-                if woke && !full_sweep && sc.active_stamp[v] != g + 1 {
-                    sc.active_stamp[v] = g + 1;
-                    sc.next_active.push(v as u32);
+            let (shared, nodes) = proto.split();
+            assert_eq!(
+                nodes.len(),
+                n,
+                "ShardedProtocol::split must expose exactly one state per node"
+            );
+            // --- Adaptive dispatch: floor, then cost model ---
+            let work = step_count as u64 + last_sent;
+            let (fan_out, measure) = if !parallel {
+                (false, false)
+            } else if node_threshold == 0 {
+                // Test mode: every round fans out, untimed, so runs
+                // stay deterministic for the differential suites.
+                (true, false)
+            } else if work < node_threshold as u64 {
+                dstats.floor_rounds += 1;
+                (false, false)
+            } else {
+                model.contested += 1;
+                match (model.seq_ns_per_unit, model.par_ns_per_unit) {
+                    (None, _) => (false, true),
+                    (_, None) => (true, true),
+                    (Some(seq), Some(par)) => {
+                        let probe = model.contested.is_multiple_of(DISPATCH_PROBE_PERIOD);
+                        ((par < seq) != probe, true)
+                    }
                 }
-            }
-            // Commit phase: enforce CONGEST, account bits, and deliver
-            // via the counting-sorted arena (through the fault plan's
-            // filter when one is attached).
-            let sent = match fault_run.as_mut() {
-                Some(fr) => commit_round_faulty(
-                    sc,
-                    &mut stats,
-                    fr,
-                    &mut staging,
-                    &mut arena,
-                    ports,
-                    edge_ports,
-                    cut.as_deref(),
-                    bandwidth,
-                    full_sweep,
-                    round,
-                    g,
-                    |m| proto.msg_bits(m),
-                ),
-                None => commit_round(
-                    sc,
-                    &mut stats,
-                    &mut staging,
-                    &mut arena,
-                    ports,
-                    edge_ports,
-                    cut.as_deref(),
-                    bandwidth,
-                    full_sweep,
-                    round,
-                    g,
-                    |m| proto.msg_bits(m),
-                ),
             };
+            if fan_out {
+                dstats.par_rounds += 1;
+            } else if measure {
+                dstats.seq_rounds += 1;
+            }
+            let timer = measure.then(std::time::Instant::now);
+            // ===== Step =====
+            let view = RoundView {
+                ports,
+                arena: &arena,
+                inbox_start: &sc.inbox_start,
+                inbox_len: &sc.inbox_len,
+                inbox_stamp: &sc.inbox_stamp,
+                round,
+                g,
+                track_wakes: !full_sweep,
+            };
+            let active = (!step_all).then_some(&sc.active[..]);
+            let whole = [(0, n)];
+            let parts = if fan_out { &bounds[..] } else { &whole[..] };
+            let mut items: Vec<StepItem<'_, P::Msg, P::Node>> = Vec::with_capacity(parts.len());
+            let mut rest = nodes;
+            let mut cursor = 0usize;
+            for ((&(lo, hi), staging), woke) in parts.iter().zip(&mut stagings).zip(&mut sc.woke) {
+                let (chunk, tail) = rest.split_at_mut(hi - lo);
+                rest = tail;
+                let act = active.map(|act| {
+                    let start = cursor;
+                    cursor = if hi == n {
+                        act.len()
+                    } else {
+                        start + act[start..].partition_point(|&v| (v as usize) < hi)
+                    };
+                    &act[start..cursor]
+                });
+                items.push(StepItem {
+                    lo,
+                    chunk,
+                    active: act,
+                    staging,
+                    woke,
+                });
+            }
+            // A single item runs on this thread without spawning.
+            pool.run(&mut items, |_, it| step_shard::<P>(shared, &view, it));
+            drop(items);
+            let used = parts.len();
+            // ===== Commit =====
+            // Wake activations first, as a sweep would register them
+            // before any delivery; `next_active` ordering is immaterial
+            // (it is sorted or discarded below).
+            for woke in &mut sc.woke[..used] {
+                for &w in woke.iter() {
+                    sc.active_stamp[w as usize] = g + 1;
+                    sc.next_active.push(w);
+                }
+                woke.clear();
+            }
+            let (staging, rest) = stagings.split_first_mut().expect("at least one shard");
+            for buf in &mut rest[..used - 1] {
+                staging.append(buf);
+            }
+            let sent = commit_round(
+                sc,
+                &mut stats,
+                fault_run.as_mut(),
+                staging,
+                &mut arena,
+                ports,
+                edge_ports,
+                cut,
+                bandwidth,
+                full_sweep,
+                round,
+                g,
+                |m| P::msg_bits(shared, m),
+            );
+            if let Some(t0) = timer {
+                model.observe(fan_out, t0.elapsed().as_nanos() as f64, work);
+            }
             last_active = step_count as u64;
             last_sent = sent;
             round += 1;
@@ -993,422 +883,11 @@ impl<'g> Network<'g> {
         // Invalidate the final round's stamps so the next phase on this
         // network cannot observe stale inboxes or activations.
         sc.generation += 1;
-        DriveOutcome {
-            stats,
-            quiesced,
-            last_active,
-            last_sent,
-            faults: fault_run.map(|fr| fr.stats).unwrap_or_default(),
+        if parallel {
+            dstats.ewma_seq_ns_per_unit = model.seq_ns_per_unit.unwrap_or(0.0);
+            dstats.ewma_par_ns_per_unit = model.par_ns_per_unit.unwrap_or(0.0);
+            self.metrics.record_dispatch(dstats);
         }
-    }
-
-    /// The sharded-parallel twin of [`Network::drive`].
-    ///
-    /// Each round is dispatched adaptively: rounds whose work (nodes
-    /// stepped + messages delivered) falls below the floor run the
-    /// sequential step/commit on the caller thread, and contested
-    /// rounds are timed so an EWMA cost model can route them to the
-    /// predicted-cheaper path. The parallel path is the three-phase
-    /// pipeline described in the module docs: workers step
-    /// degree-balanced shards and derive per-message bookkeeping
-    /// shard-locally (phase 1), the main thread merges histograms in
-    /// ascending shard order and prefix-scans the arena layout
-    /// (phase 2), and workers gather disjoint inbox ranges (phase 3) —
-    /// bit-identical to the sequential engine throughout.
-    ///
-    /// With a fault plan attached, parallel rounds still step shards on
-    /// workers but skip the fused derivation pass; the fault-aware
-    /// commit then runs on the main thread over the ascending-shard
-    /// concatenation of the shard stagings (the exact sequential send
-    /// order), so fault decisions and delivery stay bit-identical by
-    /// construction (see [`crate::faults`]).
-    fn drive_par<P: ShardedProtocol>(&mut self, proto: &mut P, budget: Budget) -> DriveOutcome {
-        let n = self.graph.node_count();
-        if self.pool.threads() <= 1 || n == 0 {
-            return self.drive(proto, budget);
-        }
-        // Shard geometry is fixed for the whole drive.
-        let bounds: Vec<(usize, usize)> = match &self.shard_bounds {
-            Some(splits) => {
-                let mut b = Vec::with_capacity(splits.len() + 1);
-                let mut lo = 0;
-                for &s in splits {
-                    debug_assert!(lo < s && s < n, "validated by set_shard_bounds");
-                    b.push((lo, s));
-                    lo = s;
-                }
-                b.push((lo, n));
-                b
-            }
-            None => shardpool::weighted_chunks(&self.deg_prefix, self.pool.threads()),
-        };
-        let shards = bounds.len();
-        self.scratch.ensure_shards(shards, n);
-        let full_sweep = self.force_full_sweep
-            || <P as ShardedProtocol>::scheduling(proto) == Scheduling::FullSweep;
-        let mut stats = RunStats::default();
-        let mut staging: Vec<(NodeId, u32, Option<P::Msg>)> = Vec::new();
-        let mut arena: Vec<(u32, P::Msg)> = Vec::new();
-        // Shard-local generic buffers, reused across rounds.
-        let mut shard_staging: Vec<Vec<(NodeId, u32, Option<P::Msg>)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        let mut gather_bufs: Vec<Vec<(u32, P::Msg)>> = (0..shards).map(|_| Vec::new()).collect();
-        let ports = &self.ports;
-        let edge_ports = &self.edge_ports;
-        let cut = self.cut.as_deref();
-        let bandwidth = self.bandwidth;
-        let pool = &self.pool;
-        let node_threshold = self.par_node_threshold;
-        let msg_threshold = self.par_msg_threshold;
-        let model = &mut self.dispatch;
-        let mut dstats = DispatchStats::default();
-        let mut fault_run: Option<FaultRun<'_, P::Msg>> =
-            self.fault_plan.as_ref().map(FaultRun::new);
-        let faulty = fault_run.is_some();
-        let sc = &mut self.scratch;
-        sc.active.clear();
-        sc.next_active.clear();
-        let mut round: u64 = 0;
-        let mut quiesced = false;
-        let mut step_all_next = true;
-        let mut last_active: u64 = 0;
-        let mut last_sent: u64 = 0;
-        loop {
-            match budget {
-                Budget::Exact(r) if round >= r => {
-                    quiesced = true;
-                    break;
-                }
-                Budget::UntilQuiet(max) if round >= max => break,
-                _ => {}
-            }
-            sc.generation += 1;
-            let g = sc.generation;
-            let step_all = full_sweep || step_all_next;
-            let step_count = if step_all { n } else { sc.active.len() };
-            let (shared, nodes) = proto.split();
-            assert_eq!(
-                nodes.len(),
-                n,
-                "ShardedProtocol::split must expose exactly one state per node"
-            );
-            // --- Adaptive dispatch: floor, then cost model ---
-            let work = step_count as u64 + last_sent;
-            let (go_par, measure) = if node_threshold == 0 {
-                // Test mode: every round fans out, untimed, so runs
-                // stay deterministic for the differential suites.
-                (true, false)
-            } else if work < node_threshold as u64 {
-                dstats.floor_rounds += 1;
-                (false, false)
-            } else {
-                model.contested += 1;
-                match (model.seq_ns_per_unit, model.par_ns_per_unit) {
-                    (None, _) => (false, true),
-                    (_, None) => (true, true),
-                    (Some(seq), Some(par)) => {
-                        let probe = model.contested.is_multiple_of(DISPATCH_PROBE_PERIOD);
-                        ((par < seq) != probe, true)
-                    }
-                }
-            };
-            let timer = measure.then(std::time::Instant::now);
-            let sent = if go_par {
-                dstats.par_rounds += 1;
-                // ===== Phase 1: step + derive (workers) =====
-                let inbox_start = &sc.inbox_start;
-                let inbox_len = &sc.inbox_len;
-                let inbox_stamp = &sc.inbox_stamp;
-                let active: &[u32] = &sc.active;
-                let arena_r: &[(u32, P::Msg)] = &arena;
-                let mut items: Vec<StepItem<'_, P::Msg, P::Node>> = Vec::with_capacity(shards);
-                let mut rest = nodes;
-                let mut cursor = 0usize;
-                let mut staging_iter = shard_staging.iter_mut();
-                let mut scratch_iter = sc.shard_scratch.iter_mut();
-                for &(lo, hi) in &bounds {
-                    let (chunk, tail) = rest.split_at_mut(hi - lo);
-                    rest = tail;
-                    let act = if step_all {
-                        &active[0..0]
-                    } else {
-                        let start = cursor;
-                        while cursor < active.len() && (active[cursor] as usize) < hi {
-                            cursor += 1;
-                        }
-                        &active[start..cursor]
-                    };
-                    items.push(StepItem {
-                        lo,
-                        chunk,
-                        active: act,
-                        staging: staging_iter.next().expect("one staging buffer per shard"),
-                        scratch: scratch_iter.next().expect("one scratch per shard"),
-                    });
-                }
-                pool.run(&mut items, |_, it| {
-                    it.staging.clear();
-                    let scr = &mut *it.scratch;
-                    scr.clear_round();
-                    let count = if step_all {
-                        it.chunk.len()
-                    } else {
-                        it.active.len()
-                    };
-                    for i in 0..count {
-                        let v = if step_all {
-                            it.lo + i
-                        } else {
-                            it.active[i] as usize
-                        };
-                        let inbox: &[(u32, P::Msg)] = if inbox_stamp[v] == g {
-                            let start = inbox_start[v] as usize;
-                            &arena_r[start..start + inbox_len[v] as usize]
-                        } else {
-                            &[]
-                        };
-                        let mut woke = false;
-                        let mut ctx = NodeCtx {
-                            node: v,
-                            round,
-                            ports: &ports[v],
-                            inbox,
-                            outbox: &mut *it.staging,
-                            woke: &mut woke,
-                        };
-                        P::step_node(shared, &mut it.chunk[v - it.lo], &mut ctx);
-                        if woke && !full_sweep {
-                            scr.woke.push(v as u32);
-                        }
-                    }
-                    if faulty {
-                        // Under a fault plan the main thread commits the
-                        // concatenated stagings itself (fate evaluation
-                        // interleaves with every per-message check), so
-                        // the fused derivation pass would be wasted — and
-                        // wrong about drops.
-                        return;
-                    }
-                    // Derivation pass: all per-message bookkeeping that
-                    // needs no cross-shard state — CONGEST checks, bit
-                    // accounting, destination histogram, and the
-                    // shard-local stable counting sort.
-                    let mut prev_sender = usize::MAX;
-                    for &(sender, port_idx, ref msg) in it.staging.iter() {
-                        let port = ports[sender][port_idx as usize];
-                        let bits =
-                            P::msg_bits(shared, msg.as_ref().expect("staged message present"));
-                        assert!(
-                            bits <= bandwidth,
-                            "CONGEST violation: {bits}-bit message exceeds bandwidth \
-                             {bandwidth} (sender {sender})",
-                        );
-                        scr.messages += 1;
-                        scr.bits += bits;
-                        scr.max_bits = scr.max_bits.max(bits);
-                        if let Some(cut) = cut {
-                            let a = cut[sender];
-                            let b = cut[port.peer];
-                            if a != b && a != Side::Neutral && b != Side::Neutral {
-                                scr.cut_bits += bits;
-                            }
-                        }
-                        // Occupancy: a link direction is owned by one
-                        // (sender, port) pair and a sender's sends are
-                        // consecutive, so a repeated port inside one
-                        // sender block is exactly a duplicate direction.
-                        if sender != prev_sender {
-                            prev_sender = sender;
-                            scr.port_block += 1;
-                        }
-                        let p = port_idx as usize;
-                        if p >= scr.port_seen.len() {
-                            scr.port_seen.resize(p + 1, 0);
-                        }
-                        assert_ne!(
-                            scr.port_seen[p],
-                            scr.port_block,
-                            "CONGEST violation: two messages on link {} direction {} in \
-                             round {} (sender {})",
-                            port.link,
-                            usize::from(!port.outgoing),
-                            round,
-                            sender
-                        );
-                        scr.port_seen[p] = scr.port_block;
-                        let dest = port.peer;
-                        scr.dests.push(dest as u32);
-                        scr.recv_ports.push(if port.outgoing {
-                            edge_ports[port.link].1
-                        } else {
-                            edge_ports[port.link].0
-                        });
-                        if scr.count_stamp[dest] != g {
-                            scr.count_stamp[dest] = g;
-                            scr.local_count[dest] = 0;
-                            scr.touched.push(dest as u32);
-                        }
-                        scr.local_count[dest] += 1;
-                    }
-                    // Shard-local stable counting sort by destination;
-                    // afterwards `local_start[d]` is the *end* of d's
-                    // run in `order`.
-                    let mut offset: u32 = 0;
-                    for &d in &scr.touched {
-                        let d = d as usize;
-                        scr.local_start[d] = offset;
-                        offset += scr.local_count[d];
-                    }
-                    scr.order.clear();
-                    scr.order.resize(scr.dests.len(), 0);
-                    for (i, &d) in scr.dests.iter().enumerate() {
-                        let d = d as usize;
-                        let slot = scr.local_start[d] as usize;
-                        scr.local_start[d] += 1;
-                        scr.order[slot] = i as u32;
-                    }
-                });
-                drop(items);
-                // ===== Phase 2: merge + scan (main thread) =====
-                // Wake activations first, as in the sequential step
-                // loop; `next_active` ordering is immaterial (it is
-                // sorted or discarded below).
-                if !full_sweep {
-                    for scr in &sc.shard_scratch[..shards] {
-                        for &w in &scr.woke {
-                            let w = w as usize;
-                            if sc.active_stamp[w] != g + 1 {
-                                sc.active_stamp[w] = g + 1;
-                                sc.next_active.push(w as u32);
-                            }
-                        }
-                    }
-                }
-                if let Some(fr) = fault_run.as_mut() {
-                    // Fault path: concatenate the shard stagings in
-                    // ascending shard order — the exact sequential send
-                    // order — and run the fault-aware commit on this
-                    // thread, where fate evaluation, the delay queue,
-                    // and all accounting interleave per message.
-                    for buf in shard_staging.iter_mut() {
-                        staging.append(buf);
-                    }
-                    commit_round_faulty(
-                        sc,
-                        &mut stats,
-                        fr,
-                        &mut staging,
-                        &mut arena,
-                        ports,
-                        edge_ports,
-                        cut,
-                        bandwidth,
-                        full_sweep,
-                        round,
-                        g,
-                        |m| P::msg_bits(shared, m),
-                    )
-                } else {
-                    merge_scan_gather::<P::Msg>(
-                        sc,
-                        &mut stats,
-                        &mut shard_staging,
-                        &mut gather_bufs,
-                        &mut arena,
-                        pool,
-                        shards,
-                        msg_threshold,
-                        full_sweep,
-                        g,
-                    )
-                }
-            } else {
-                if measure {
-                    dstats.seq_rounds += 1;
-                }
-                // --- Sequential round on the caller thread ---
-                for i in 0..step_count {
-                    let v = if step_all { i } else { sc.active[i] as usize };
-                    let inbox: &[(u32, P::Msg)] = if sc.inbox_stamp[v] == g {
-                        let start = sc.inbox_start[v] as usize;
-                        &arena[start..start + sc.inbox_len[v] as usize]
-                    } else {
-                        &[]
-                    };
-                    let mut woke = false;
-                    let mut ctx = NodeCtx {
-                        node: v,
-                        round,
-                        ports: &ports[v],
-                        inbox,
-                        outbox: &mut staging,
-                        woke: &mut woke,
-                    };
-                    P::step_node(shared, &mut nodes[v], &mut ctx);
-                    if woke && !full_sweep && sc.active_stamp[v] != g + 1 {
-                        sc.active_stamp[v] = g + 1;
-                        sc.next_active.push(v as u32);
-                    }
-                }
-                match fault_run.as_mut() {
-                    Some(fr) => commit_round_faulty(
-                        sc,
-                        &mut stats,
-                        fr,
-                        &mut staging,
-                        &mut arena,
-                        ports,
-                        edge_ports,
-                        cut,
-                        bandwidth,
-                        full_sweep,
-                        round,
-                        g,
-                        |m| P::msg_bits(shared, m),
-                    ),
-                    None => commit_round(
-                        sc,
-                        &mut stats,
-                        &mut staging,
-                        &mut arena,
-                        ports,
-                        edge_ports,
-                        cut,
-                        bandwidth,
-                        full_sweep,
-                        round,
-                        g,
-                        |m| P::msg_bits(shared, m),
-                    ),
-                }
-            };
-            if let Some(t0) = timer {
-                model.observe(go_par, t0.elapsed().as_nanos() as f64, work);
-            }
-            last_active = step_count as u64;
-            last_sent = sent;
-            round += 1;
-            if !full_sweep {
-                step_all_next = 8 * sc.next_active.len() >= n;
-                if !step_all_next {
-                    sc.next_active.sort_unstable();
-                    std::mem::swap(&mut sc.active, &mut sc.next_active);
-                }
-                sc.next_active.clear();
-            }
-            if matches!(budget, Budget::UntilQuiet(_))
-                && sent == 0
-                && <P as ShardedProtocol>::idle(proto)
-            {
-                quiesced = true;
-                break;
-            }
-        }
-        stats.rounds = round;
-        sc.generation += 1;
-        dstats.ewma_seq_ns_per_unit = model.seq_ns_per_unit.unwrap_or(0.0);
-        dstats.ewma_par_ns_per_unit = model.par_ns_per_unit.unwrap_or(0.0);
-        self.metrics.record_dispatch(dstats);
         DriveOutcome {
             stats,
             quiesced,
@@ -1461,8 +940,8 @@ impl DriveOutcome {
 
 /// Per-drive fault-injection state: the plan, the in-flight delayed
 /// messages, and the drive's [`FaultStats`]. Message fates are decided
-/// exclusively inside [`commit_round_faulty`], on the main thread, from
-/// the deterministic staged-send order.
+/// exclusively inside [`commit_round`], on the caller thread, from the
+/// deterministic staged-send order.
 struct FaultRun<'p, M> {
     plan: &'p FaultPlan,
     /// In-flight delayed messages: `(due round, sender, port index,
@@ -1487,21 +966,71 @@ impl<'p, M> FaultRun<'p, M> {
             stats: FaultStats::default(),
         }
     }
+
+    /// Fault events so far; a round that moves this is a faulty round.
+    fn events(&self) -> u64 {
+        self.stats.total_dropped() + self.stats.delayed + self.stats.delivered_late
+    }
+
+    /// Moves the messages due in `round` from `delayed` to `due`,
+    /// preserving send order.
+    fn take_due(&mut self, round: u64) {
+        let FaultRun { delayed, due, .. } = self;
+        due.clear();
+        delayed.retain_mut(|(due_round, sender, port_idx, msg)| {
+            if *due_round == round {
+                due.push((*sender, *port_idx, msg.take()));
+                false
+            } else {
+                true
+            }
+        });
+    }
+
+    /// The wire's verdict on a send that passed the CONGEST checks:
+    /// `true` delivers it now. Otherwise it is dropped (endpoint
+    /// crashed, link down, or bad luck, checked in that order) or moved
+    /// to the in-flight queue, and counted either way.
+    fn admit(
+        &mut self,
+        round: u64,
+        sender: NodeId,
+        port_idx: u32,
+        port: Port,
+        msg: &mut Option<M>,
+    ) -> bool {
+        if self.plan.node_down(sender, round) || self.plan.node_down(port.peer, round) {
+            self.stats.dropped_node_down += 1;
+            return false;
+        }
+        if self.plan.link_down(port.link, round) {
+            self.stats.dropped_link_down += 1;
+            return false;
+        }
+        match self.plan.fate(round, port.link, port.outgoing) {
+            Fate::Deliver => true,
+            Fate::Drop => {
+                self.stats.dropped_random += 1;
+                false
+            }
+            Fate::Delay(extra) => {
+                self.stats.delayed += 1;
+                self.delayed
+                    .push((round + extra, sender, port_idx, msg.take()));
+                false
+            }
+        }
+    }
 }
 
 /// Default work floor of the adaptive dispatcher: rounds whose work
-/// (nodes stepped + messages delivered) falls below this run
-/// sequentially without consulting the cost model, so sparse
-/// active-set workloads never pay fan-out or timing overhead.
+/// (nodes stepped + messages delivered) falls below this are stepped
+/// inline without consulting the cost model, so sparse active-set
+/// workloads never pay fan-out or timing overhead.
 const DEFAULT_PAR_NODE_THRESHOLD: usize = 2048;
 
-/// Default minimum staged messages before the gather phase fans out
-/// (clones per slot are much cheaper than protocol steps, so this
-/// threshold is higher).
-const DEFAULT_PAR_MSG_THRESHOLD: usize = 8192;
-
-/// Every `DISPATCH_PROBE_PERIOD`-th contested round runs the
-/// predicted-*slower* path so its cost estimate keeps tracking phase
+/// Every `DISPATCH_PROBE_PERIOD`-th contested round takes the
+/// predicted-*slower* way so its cost estimate keeps tracking phase
 /// changes in the workload.
 const DISPATCH_PROBE_PERIOD: u64 = 32;
 
@@ -1509,10 +1038,10 @@ const DISPATCH_PROBE_PERIOD: u64 = 32;
 const EWMA_ALPHA: f64 = 0.2;
 
 /// The adaptive dispatcher's cost model: EWMA nanoseconds per unit of
-/// work (nodes stepped + messages delivered) for each execution path,
-/// learned from timed contested rounds and persisted on the network
-/// across drives. Routing decisions never affect results — both paths
-/// are bit-identical — only wall-clock.
+/// work (nodes stepped + messages delivered) for inline and fanned-out
+/// rounds, learned from timed contested rounds and persisted on the
+/// network across drives. Routing decisions never affect results — both
+/// ways are bit-identical — only wall-clock.
 #[derive(Clone, Copy, Debug, Default)]
 struct DispatchModel {
     seq_ns_per_unit: Option<f64>,
@@ -1536,37 +1065,98 @@ impl DispatchModel {
     }
 }
 
+/// The read-only round state every shard steps against: topology, the
+/// previous round's delivery arena, and its per-node inbox slices.
+struct RoundView<'a, M> {
+    ports: &'a [Vec<Port>],
+    arena: &'a [(u32, M)],
+    inbox_start: &'a [u32],
+    inbox_len: &'a [u32],
+    inbox_stamp: &'a [u64],
+    round: u64,
+    g: u64,
+    /// Whether [`NodeCtx::wake`] requests are recorded (not on sweeps).
+    track_wakes: bool,
+}
+
 /// One step-phase work item: a contiguous node shard plus its buffers.
 struct StepItem<'a, M, N> {
     /// First node id of the shard.
     lo: usize,
     /// The shard's per-node protocol state (`nodes[lo..hi]`).
     chunk: &'a mut [N],
-    /// The shard's slice of the sorted active list (empty on sweeps).
-    active: &'a [u32],
+    /// The shard's slice of the sorted active list (`None` on sweeps).
+    active: Option<&'a [u32]>,
     /// Sends staged by this shard's nodes, in step order.
     staging: &'a mut Vec<(NodeId, u32, Option<M>)>,
-    /// The shard's non-generic worker scratch.
-    scratch: &'a mut ShardScratch,
+    /// Nodes of this shard that called [`NodeCtx::wake`], ascending.
+    woke: &'a mut Vec<u32>,
 }
 
-/// One gather-phase work item: a contiguous range of the global
-/// touched-destination list whose inbox slices this worker fills.
-struct GatherItem<'a, M> {
-    buf: &'a mut Vec<(u32, M)>,
-    tlo: usize,
-    thi: usize,
+/// Steps one shard: every node of the shard on sweeps, else the
+/// shard's slice of the active list, in ascending order. Sends land in
+/// the shard's staging and wake requests in its wake list.
+fn step_shard<P: ShardedProtocol>(
+    shared: &P::Shared,
+    view: &RoundView<'_, P::Msg>,
+    it: &mut StepItem<'_, P::Msg, P::Node>,
+) {
+    let StepItem {
+        lo,
+        chunk,
+        active,
+        staging,
+        woke: wakes,
+    } = it;
+    let lo = *lo;
+    let count = active.map_or(chunk.len(), <[u32]>::len);
+    for i in 0..count {
+        let v = match active {
+            None => lo + i,
+            Some(act) => act[i] as usize,
+        };
+        let inbox: &[(u32, P::Msg)] = if view.inbox_stamp[v] == view.g {
+            let start = view.inbox_start[v] as usize;
+            &view.arena[start..start + view.inbox_len[v] as usize]
+        } else {
+            &[]
+        };
+        let mut woke = false;
+        let mut ctx = NodeCtx {
+            node: v,
+            round: view.round,
+            ports: &view.ports[v],
+            inbox,
+            outbox: staging,
+            woke: &mut woke,
+        };
+        P::step_node(shared, &mut chunk[v - lo], &mut ctx);
+        if woke && view.track_wakes {
+            wakes.push(v as u32);
+        }
+    }
 }
 
-/// The sequential commit phase: enforce CONGEST, account bits, count
-/// messages per destination, counting-sort, and materialize the arena.
-/// Shared by [`Network::drive`] and the below-threshold rounds of
-/// [`Network::drive_par`]; the parallel merge path mirrors it
-/// pass-for-pass (asserted bit-exact by the differential tests).
+/// The commit phase: enforce CONGEST, account bits, count messages per
+/// destination, counting-sort, and materialize the arena, over the
+/// round's sends in sequential step order.
+///
+/// With a fault plan (`faults`), the wire filters the traffic: due
+/// delayed messages are delivered first (they have been on the wire
+/// longest; the fixed position keeps inbox order deterministic), bypass
+/// the occupancy re-check (the wire, not a sender, holds them), and are
+/// charged to [`RunStats`] at actual delivery. Every fresh send passes
+/// the CONGEST occupancy and bandwidth checks first — faults never
+/// excuse a protocol bug — and only then does the plan seal its fate
+/// (see [`FaultRun::admit`]).
+///
+/// Returns the messages delivered *plus* those still in flight, so a
+/// network with pending delayed traffic never looks quiescent.
 #[allow(clippy::too_many_arguments)]
 fn commit_round<M>(
     sc: &mut EngineScratch,
     stats: &mut RunStats,
+    faults: Option<&mut FaultRun<'_, M>>,
     staging: &mut Vec<(NodeId, u32, Option<M>)>,
     arena: &mut Vec<(u32, M)>,
     ports: &[Vec<Port>],
@@ -1578,11 +1168,111 @@ fn commit_round<M>(
     g: u64,
     bits_of: impl Fn(&M) -> u64,
 ) -> u64 {
-    let sent = staging.len() as u64;
     sc.touched.clear();
     sc.dests.clear();
     sc.recv_ports.clear();
-    for &(sender, port_idx, ref msg) in staging.iter() {
+    let Some(fr) = faults else {
+        check_and_deliver(
+            sc,
+            stats,
+            staging,
+            ports,
+            edge_ports,
+            cut,
+            bandwidth,
+            full_sweep,
+            round,
+            g,
+            &bits_of,
+            |_, _, _, _, _| true,
+        );
+        finish_order(sc, g);
+        arena.clear();
+        arena.extend(sc.order.iter().map(|&i| {
+            let msg = staging[i as usize]
+                .2
+                .take()
+                .expect("each staged message is delivered exactly once");
+            (sc.recv_ports[i as usize], msg)
+        }));
+        staging.clear();
+        return sc.dests.len() as u64;
+    };
+    fr.payload.clear();
+    let events_before = fr.events();
+    fr.take_due(round);
+    let due_count = fr.due.len();
+    for (j, &(sender, port_idx, ref msg)) in fr.due.iter().enumerate() {
+        let port = ports[sender][port_idx as usize];
+        let bits = bits_of(msg.as_ref().expect("delayed message present"));
+        charge(stats, bits, crosses_cut(cut, sender, port.peer));
+        fr.stats.delivered_late += 1;
+        deliver_to(sc, port, edge_ports, full_sweep, g);
+        fr.payload.push(j as u32);
+    }
+    check_and_deliver(
+        sc,
+        stats,
+        staging,
+        ports,
+        edge_ports,
+        cut,
+        bandwidth,
+        full_sweep,
+        round,
+        g,
+        &bits_of,
+        |i, sender, port_idx, port, msg| {
+            // The protocol passed its checks; now the wire decides.
+            let admitted = fr.admit(round, sender, port_idx, port, msg);
+            if admitted {
+                fr.payload.push((due_count + i) as u32);
+            }
+            admitted
+        },
+    );
+    finish_order(sc, g);
+    arena.clear();
+    let FaultRun { due, payload, .. } = &mut *fr;
+    arena.extend(sc.order.iter().map(|&k| {
+        let k = k as usize;
+        let pi = payload[k] as usize;
+        let msg = if pi < due_count {
+            due[pi].2.take()
+        } else {
+            staging[pi - due_count].2.take()
+        }
+        .expect("each delivered message is materialized exactly once");
+        (sc.recv_ports[k], msg)
+    }));
+    staging.clear();
+    if fr.events() != events_before {
+        fr.stats.faulty_rounds += 1;
+    }
+    sc.dests.len() as u64 + fr.delayed.len() as u64
+}
+
+/// The fresh-send leg of [`commit_round`]: the CONGEST occupancy and
+/// bandwidth checks on every staged send (index, sender, port index,
+/// port, message), then `admit` decides whether it is delivered now.
+/// Fault-free rounds pass an always-`true` filter, which compiles away.
+#[allow(clippy::too_many_arguments)]
+fn check_and_deliver<M>(
+    sc: &mut EngineScratch,
+    stats: &mut RunStats,
+    staging: &mut [(NodeId, u32, Option<M>)],
+    ports: &[Vec<Port>],
+    edge_ports: &[(u32, u32)],
+    cut: Option<&[Side]>,
+    bandwidth: u64,
+    full_sweep: bool,
+    round: u64,
+    g: u64,
+    bits_of: &impl Fn(&M) -> u64,
+    mut admit: impl FnMut(usize, NodeId, u32, Port, &mut Option<M>) -> bool,
+) {
+    for (i, (sender, port_idx, msg)) in staging.iter_mut().enumerate() {
+        let (sender, port_idx) = (*sender, *port_idx);
         let port = ports[sender][port_idx as usize];
         let dir = 2 * port.link + usize::from(!port.outgoing);
         assert_ne!(
@@ -1602,68 +1292,22 @@ fn commit_round<M>(
             "CONGEST violation: {bits}-bit message exceeds bandwidth {bandwidth} \
              (sender {sender})",
         );
-        stats.messages += 1;
-        stats.bits += bits;
-        stats.max_message_bits = stats.max_message_bits.max(bits);
-        if let Some(cut) = cut {
-            let a = cut[sender];
-            let b = cut[port.peer];
-            if a != b && a != Side::Neutral && b != Side::Neutral {
-                stats.cut_bits += bits;
-            }
+        if !admit(i, sender, port_idx, port, msg) {
+            continue;
         }
-        let dest = port.peer;
-        sc.dests.push(dest as u32);
-        sc.recv_ports.push(if port.outgoing {
-            edge_ports[port.link].1
-        } else {
-            edge_ports[port.link].0
-        });
-        if sc.count_stamp[dest] != g {
-            sc.count_stamp[dest] = g;
-            sc.counts[dest] = 0;
-            sc.touched.push(dest as u32);
-        }
-        sc.counts[dest] += 1;
-        // Receiving a message activates the destination.
-        if !full_sweep && sc.active_stamp[dest] != g + 1 {
-            sc.active_stamp[dest] = g + 1;
-            sc.next_active.push(dest as u32);
-        }
+        charge(stats, bits, crosses_cut(cut, sender, port.peer));
+        deliver_to(sc, port, edge_ports, full_sweep, g);
     }
-    finish_order(sc, g);
-    arena.clear();
-    arena.extend(sc.order.iter().map(|&i| {
-        let msg = staging[i as usize]
-            .2
-            .take()
-            .expect("each staged message is delivered exactly once");
-        (sc.recv_ports[i as usize], msg)
-    }));
-    staging.clear();
-    sent
 }
 
-/// CSR offsets for the next round's inboxes plus the stable
-/// counting-sort permutation (arena slot -> staging index). Reads
-/// `sc.dests`/`sc.touched`, leaves the result in `sc.order`.
-fn finish_order(sc: &mut EngineScratch, g: u64) {
-    let mut offset: u32 = 0;
-    for &d in &sc.touched {
-        let d = d as usize;
-        sc.inbox_start[d] = offset;
-        sc.inbox_len[d] = sc.counts[d];
-        sc.inbox_stamp[d] = g + 1;
-        offset += sc.counts[d];
-        sc.counts[d] = 0;
-    }
-    sc.order.clear();
-    sc.order.resize(sc.dests.len(), 0);
-    for (i, &d) in sc.dests.iter().enumerate() {
-        let d = d as usize;
-        let slot = (sc.inbox_start[d] + sc.counts[d]) as usize;
-        sc.counts[d] += 1;
-        sc.order[slot] = i as u32;
+/// Charges one delivered message to the run's accounting.
+#[inline]
+fn charge(stats: &mut RunStats, bits: u64, crosses_cut: bool) {
+    stats.messages += 1;
+    stats.bits += bits;
+    stats.max_message_bits = stats.max_message_bits.max(bits);
+    if crosses_cut {
+        stats.cut_bits += bits;
     }
 }
 
@@ -1680,9 +1324,7 @@ fn crosses_cut(cut: Option<&[Side]>, a: NodeId, b: NodeId) -> bool {
 }
 
 /// Appends one delivered message's destination bookkeeping: histogram,
-/// first-touch registration, receiver activation. Shared by the due and
-/// fresh legs of [`commit_round_faulty`]; mirrors the corresponding
-/// lines of [`commit_round`].
+/// first-touch registration, receiver activation.
 #[inline]
 fn deliver_to(
     sc: &mut EngineScratch,
@@ -1704,274 +1346,34 @@ fn deliver_to(
         sc.touched.push(dest as u32);
     }
     sc.counts[dest] += 1;
+    // Receiving a message activates the destination.
     if !full_sweep && sc.active_stamp[dest] != g + 1 {
         sc.active_stamp[dest] = g + 1;
         sc.next_active.push(dest as u32);
     }
 }
 
-/// The fault-aware twin of [`commit_round`].
-///
-/// Every staged send passes the CONGEST occupancy and bandwidth checks
-/// first — faults never excuse a protocol bug — and only then does the
-/// attached [`FaultPlan`] seal its fate: deliver, drop (endpoint
-/// crashed, link down, or bad luck, checked in that order), or delay.
-/// Due delayed messages are delivered ahead of the round's fresh sends
-/// (they have been on the wire longest; the fixed position keeps inbox
-/// order deterministic), bypass the occupancy re-check (the wire, not a
-/// sender, holds them), and are charged to [`RunStats`] at actual
-/// delivery.
-///
-/// Returns delivered messages *plus* messages still in flight, so a
-/// network with pending delayed traffic never looks quiescent.
-#[allow(clippy::too_many_arguments)]
-fn commit_round_faulty<M>(
-    sc: &mut EngineScratch,
-    stats: &mut RunStats,
-    fr: &mut FaultRun<'_, M>,
-    staging: &mut Vec<(NodeId, u32, Option<M>)>,
-    arena: &mut Vec<(u32, M)>,
-    ports: &[Vec<Port>],
-    edge_ports: &[(u32, u32)],
-    cut: Option<&[Side]>,
-    bandwidth: u64,
-    full_sweep: bool,
-    round: u64,
-    g: u64,
-    bits_of: impl Fn(&M) -> u64,
-) -> u64 {
-    sc.touched.clear();
-    sc.dests.clear();
-    sc.recv_ports.clear();
-    fr.payload.clear();
-    let events_before = fr.stats.total_dropped() + fr.stats.delayed + fr.stats.delivered_late;
-    // Pull this round's due delayed messages, preserving send order.
-    fr.due.clear();
-    {
-        let FaultRun { delayed, due, .. } = fr;
-        delayed.retain_mut(|(due_round, sender, port_idx, msg)| {
-            if *due_round == round {
-                due.push((*sender, *port_idx, msg.take()));
-                false
-            } else {
-                true
-            }
-        });
-    }
-    let due_count = fr.due.len();
-    for (j, &(sender, port_idx, ref msg)) in fr.due.iter().enumerate() {
-        let port = ports[sender][port_idx as usize];
-        let bits = bits_of(msg.as_ref().expect("delayed message present"));
-        stats.messages += 1;
-        stats.bits += bits;
-        stats.max_message_bits = stats.max_message_bits.max(bits);
-        if crosses_cut(cut, sender, port.peer) {
-            stats.cut_bits += bits;
-        }
-        fr.stats.delivered_late += 1;
-        deliver_to(sc, port, edge_ports, full_sweep, g);
-        fr.payload.push(j as u32);
-    }
-    for i in 0..staging.len() {
-        let (sender, port_idx) = (staging[i].0, staging[i].1);
-        let port = ports[sender][port_idx as usize];
-        let dir = 2 * port.link + usize::from(!port.outgoing);
-        assert_ne!(
-            sc.occupied[dir],
-            g,
-            "CONGEST violation: two messages on link {} direction {} in round {} \
-             (sender {})",
-            port.link,
-            usize::from(!port.outgoing),
-            round,
-            sender
-        );
-        sc.occupied[dir] = g;
-        let bits = bits_of(staging[i].2.as_ref().expect("staged message present"));
-        assert!(
-            bits <= bandwidth,
-            "CONGEST violation: {bits}-bit message exceeds bandwidth {bandwidth} \
-             (sender {sender})",
-        );
-        // The protocol passed its checks; now the wire decides.
-        if fr.plan.node_down(sender, round) || fr.plan.node_down(port.peer, round) {
-            fr.stats.dropped_node_down += 1;
-            continue;
-        }
-        if fr.plan.link_down(port.link, round) {
-            fr.stats.dropped_link_down += 1;
-            continue;
-        }
-        match fr.plan.fate(round, port.link, port.outgoing) {
-            Fate::Drop => {
-                fr.stats.dropped_random += 1;
-                continue;
-            }
-            Fate::Delay(extra) => {
-                fr.stats.delayed += 1;
-                let msg = staging[i].2.take();
-                fr.delayed.push((round + extra, sender, port_idx, msg));
-                continue;
-            }
-            Fate::Deliver => {}
-        }
-        stats.messages += 1;
-        stats.bits += bits;
-        stats.max_message_bits = stats.max_message_bits.max(bits);
-        if crosses_cut(cut, sender, port.peer) {
-            stats.cut_bits += bits;
-        }
-        deliver_to(sc, port, edge_ports, full_sweep, g);
-        fr.payload.push((due_count + i) as u32);
-    }
-    let delivered = fr.payload.len() as u64;
-    finish_order(sc, g);
-    arena.clear();
-    {
-        let FaultRun { due, payload, .. } = fr;
-        arena.extend(sc.order.iter().map(|&k| {
-            let k = k as usize;
-            let pi = payload[k] as usize;
-            let msg = if pi < due_count {
-                due[pi].2.take()
-            } else {
-                staging[pi - due_count].2.take()
-            }
-            .expect("each delivered message is materialized exactly once");
-            (sc.recv_ports[k], msg)
-        }));
-    }
-    staging.clear();
-    let events_after = fr.stats.total_dropped() + fr.stats.delayed + fr.stats.delivered_late;
-    if events_after != events_before {
-        fr.stats.faulty_rounds += 1;
-    }
-    delivered + fr.delayed.len() as u64
-}
-
-/// Phases 2 and 3 of the parallel pipeline (the fault-free path): merge
-/// the shard histograms in ascending shard order — reproducing the
-/// sequential first-touch destination order exactly, because the
-/// sequential staging is the ascending-shard concatenation of the shard
-/// stagings — prefix-scan the arena layout, and gather the inbox
-/// slices, fanning out when the round's traffic justifies it. Returns
-/// the number of staged messages.
-#[allow(clippy::too_many_arguments)]
-fn merge_scan_gather<M: Clone + Send + Sync>(
-    sc: &mut EngineScratch,
-    stats: &mut RunStats,
-    shard_staging: &mut [Vec<(NodeId, u32, Option<M>)>],
-    gather_bufs: &mut [Vec<(u32, M)>],
-    arena: &mut Vec<(u32, M)>,
-    pool: &shardpool::Pool,
-    shards: usize,
-    msg_threshold: usize,
-    full_sweep: bool,
-    g: u64,
-) -> u64 {
-    sc.touched.clear();
-    let mut sent = 0u64;
-    for scr in &sc.shard_scratch[..shards] {
-        stats.messages += scr.messages;
-        stats.bits += scr.bits;
-        stats.max_message_bits = stats.max_message_bits.max(scr.max_bits);
-        stats.cut_bits += scr.cut_bits;
-        sent += scr.dests.len() as u64;
-        for &d in &scr.touched {
-            let du = d as usize;
-            if sc.count_stamp[du] != g {
-                sc.count_stamp[du] = g;
-                sc.counts[du] = 0;
-                sc.touched.push(d);
-                if !full_sweep && sc.active_stamp[du] != g + 1 {
-                    sc.active_stamp[du] = g + 1;
-                    sc.next_active.push(d);
-                }
-            }
-            sc.counts[du] += scr.local_count[du];
-        }
-    }
-    // Exclusive prefix scan: each touched destination gets its
-    // contiguous arena slice, laid out exactly as the sequential
-    // counting sort would.
-    sc.touched_prefix.clear();
-    sc.touched_prefix.push(0);
+/// CSR offsets for the next round's inboxes plus the stable
+/// counting-sort permutation (arena slot -> delivery index). Reads
+/// `sc.dests`/`sc.touched`, leaves the result in `sc.order`.
+fn finish_order(sc: &mut EngineScratch, g: u64) {
     let mut offset: u32 = 0;
     for &d in &sc.touched {
-        let du = d as usize;
-        sc.inbox_start[du] = offset;
-        sc.inbox_len[du] = sc.counts[du];
-        sc.inbox_stamp[du] = g + 1;
-        offset += sc.counts[du];
-        sc.touched_prefix.push(offset as u64);
+        let d = d as usize;
+        sc.inbox_start[d] = offset;
+        sc.inbox_len[d] = sc.counts[d];
+        sc.inbox_stamp[d] = g + 1;
+        offset += sc.counts[d];
+        sc.counts[d] = 0;
     }
-    debug_assert_eq!(offset as u64, sent);
-    // ===== Phase 3: gather (workers) =====
-    arena.clear();
-    if sent >= msg_threshold.max(2) as u64 {
-        // Destination ranges balanced by message count; each worker
-        // fills its ranges' inbox slices by walking the shard sort
-        // orders shard-ascending.
-        let ranges = shardpool::weighted_chunks(&sc.touched_prefix, shards);
-        let touched: &[u32] = &sc.touched;
-        let shard_sc: &[ShardScratch] = &sc.shard_scratch[..shards];
-        let shard_msgs: &[Vec<(NodeId, u32, Option<M>)>] = &*shard_staging;
-        let mut gitems: Vec<GatherItem<'_, M>> = gather_bufs
-            .iter_mut()
-            .zip(&ranges)
-            .map(|(buf, &(tlo, thi))| GatherItem { buf, tlo, thi })
-            .collect();
-        pool.run(&mut gitems, |_, it| {
-            it.buf.clear();
-            for &d in &touched[it.tlo..it.thi] {
-                let du = d as usize;
-                for (scr, msgs) in shard_sc.iter().zip(shard_msgs) {
-                    if scr.count_stamp[du] != g {
-                        continue;
-                    }
-                    let end = scr.local_start[du] as usize;
-                    let cnt = scr.local_count[du] as usize;
-                    for &i in &scr.order[end - cnt..end] {
-                        let i = i as usize;
-                        let msg = msgs[i].2.as_ref().expect("staged message present").clone();
-                        it.buf.push((scr.recv_ports[i], msg));
-                    }
-                }
-            }
-        });
-        drop(gitems);
-        for buf in gather_bufs.iter_mut() {
-            arena.append(buf);
-        }
-    } else {
-        // Low traffic: gather on this thread, moving the messages out
-        // of the shard stagings instead of cloning them.
-        for &d in &sc.touched {
-            let du = d as usize;
-            for (scr, msgs) in sc.shard_scratch[..shards]
-                .iter()
-                .zip(shard_staging.iter_mut())
-            {
-                if scr.count_stamp[du] != g {
-                    continue;
-                }
-                let end = scr.local_start[du] as usize;
-                let cnt = scr.local_count[du] as usize;
-                for &i in &scr.order[end - cnt..end] {
-                    let i = i as usize;
-                    let msg = msgs[i]
-                        .2
-                        .take()
-                        .expect("each staged message is delivered exactly once");
-                    arena.push((scr.recv_ports[i], msg));
-                }
-            }
-        }
+    sc.order.clear();
+    sc.order.resize(sc.dests.len(), 0);
+    for (i, &d) in sc.dests.iter().enumerate() {
+        let d = d as usize;
+        let slot = (sc.inbox_start[d] + sc.counts[d]) as usize;
+        sc.counts[d] += 1;
+        sc.order[slot] = i as u32;
     }
-    for msgs in shard_staging.iter_mut() {
-        msgs.clear();
-    }
-    sent
 }
 
 #[cfg(test)]
@@ -1997,20 +1399,25 @@ mod tests {
         }
     }
 
-    impl Protocol for Flood {
+    impl ShardedProtocol for Flood {
         type Msg = ();
+        type Node = Option<u64>;
+        type Shared = ();
 
-        fn msg_bits(&self, _: &()) -> u64 {
+        fn msg_bits(_: &(), _: &()) -> u64 {
             1
         }
 
-        fn on_round(&mut self, ctx: &mut NodeCtx<'_, ()>) {
-            let v = ctx.node;
-            let newly = if ctx.round == 0 && v == 0 {
-                self.heard[v] = Some(0);
+        fn split(&mut self) -> (&(), &mut [Option<u64>]) {
+            (&(), &mut self.heard)
+        }
+
+        fn step_node(_: &(), heard: &mut Option<u64>, ctx: &mut NodeCtx<'_, ()>) {
+            let newly = if ctx.round == 0 && ctx.node == 0 {
+                *heard = Some(0);
                 true
-            } else if self.heard[v].is_none() && !ctx.inbox().is_empty() {
-                self.heard[v] = Some(ctx.round);
+            } else if heard.is_none() && !ctx.inbox().is_empty() {
+                *heard = Some(ctx.round);
                 true
             } else {
                 false
@@ -2024,6 +1431,41 @@ mod tests {
 
         fn scheduling(&self) -> Scheduling {
             self.scheduling
+        }
+    }
+
+    /// A protocol without per-node state whose every step is `F`, with
+    /// `bits`-bit `u32` messages under the default full-sweep schedule.
+    struct FnProtocol<F> {
+        shared: (u64, F),
+        nodes: Vec<()>,
+    }
+
+    fn fn_protocol<F>(n: usize, bits: u64, step: F) -> FnProtocol<F>
+    where
+        F: Fn(&mut NodeCtx<'_, u32>) + Sync,
+    {
+        FnProtocol {
+            shared: (bits, step),
+            nodes: vec![(); n],
+        }
+    }
+
+    impl<F: Fn(&mut NodeCtx<'_, u32>) + Sync> ShardedProtocol for FnProtocol<F> {
+        type Msg = u32;
+        type Node = ();
+        type Shared = (u64, F);
+
+        fn msg_bits(shared: &(u64, F), _: &u32) -> u64 {
+            shared.0
+        }
+
+        fn split(&mut self) -> (&(u64, F), &mut [()]) {
+            (&self.shared, &mut self.nodes)
+        }
+
+        fn step_node(shared: &(u64, F), _: &mut (), ctx: &mut NodeCtx<'_, u32>) {
+            (shared.1)(ctx)
         }
     }
 
@@ -2110,32 +1552,43 @@ mod tests {
 
     /// A protocol whose only activity is self-driven: node 0 wakes itself
     /// and sends one message every `period` rounds, with no inbox traffic
-    /// to reactivate it.
+    /// to reactivate it. Every other node counts the ticks it hears.
     struct Metronome {
         period: u64,
-        ticks_heard: u64,
+        ticks_heard: Vec<u64>,
     }
 
-    impl Protocol for Metronome {
-        type Msg = ();
+    impl Metronome {
+        fn new(n: usize, period: u64) -> Metronome {
+            Metronome {
+                period,
+                ticks_heard: vec![0; n],
+            }
+        }
+    }
 
-        fn msg_bits(&self, _: &()) -> u64 {
+    impl ShardedProtocol for Metronome {
+        type Msg = ();
+        type Node = u64;
+        type Shared = u64;
+
+        fn msg_bits(_: &u64, _: &()) -> u64 {
             1
         }
 
-        fn on_round(&mut self, ctx: &mut NodeCtx<'_, ()>) {
+        fn split(&mut self) -> (&u64, &mut [u64]) {
+            (&self.period, &mut self.ticks_heard)
+        }
+
+        fn step_node(period: &u64, ticks: &mut u64, ctx: &mut NodeCtx<'_, ()>) {
             if ctx.node == 0 {
-                if ctx.round.is_multiple_of(self.period) {
+                if ctx.round.is_multiple_of(*period) {
                     ctx.send(0, ());
                 }
                 ctx.wake();
             } else if !ctx.inbox().is_empty() {
-                self.ticks_heard += 1;
+                *ticks += 1;
             }
-        }
-
-        fn idle(&self) -> bool {
-            true
         }
 
         fn scheduling(&self) -> Scheduling {
@@ -2147,14 +1600,11 @@ mod tests {
     fn wake_keeps_a_quiet_node_scheduled() {
         let g = line(2);
         let mut net = Network::new(&g);
-        let mut p = Metronome {
-            period: 3,
-            ticks_heard: 0,
-        };
+        let mut p = Metronome::new(2, 3);
         let stats = net.run_rounds("metronome", &mut p, 10);
         // Sends at rounds 0, 3, 6, 9; the round-9 send is not observed.
         assert_eq!(stats.messages, 4);
-        assert_eq!(p.ticks_heard, 3);
+        assert_eq!(p.ticks_heard[1], 3);
     }
 
     #[test]
@@ -2172,41 +1622,18 @@ mod tests {
         assert_eq!(net.metrics().phase_total("first"), stats2);
     }
 
-    struct DoubleSend;
-
-    impl Protocol for DoubleSend {
-        type Msg = ();
-        fn msg_bits(&self, _: &()) -> u64 {
-            1
-        }
-        fn on_round(&mut self, ctx: &mut NodeCtx<'_, ()>) {
-            if ctx.node == 0 && ctx.round == 0 {
-                ctx.send(0, ());
-                ctx.send(0, ());
-            }
-        }
-    }
-
     #[test]
     #[should_panic(expected = "CONGEST violation")]
     fn two_messages_on_one_direction_panic() {
         let g = line(2);
         let mut net = Network::new(&g);
-        net.run_rounds("bad", &mut DoubleSend, 2);
-    }
-
-    struct FatMessage;
-
-    impl Protocol for FatMessage {
-        type Msg = ();
-        fn msg_bits(&self, _: &()) -> u64 {
-            1 << 20
-        }
-        fn on_round(&mut self, ctx: &mut NodeCtx<'_, ()>) {
+        let mut p = fn_protocol(2, 1, |ctx| {
             if ctx.node == 0 && ctx.round == 0 {
-                ctx.send(0, ());
+                ctx.send(0, 0);
+                ctx.send(0, 0);
             }
-        }
+        });
+        net.run_rounds("bad", &mut p, 2);
     }
 
     #[test]
@@ -2214,27 +1641,25 @@ mod tests {
     fn oversized_message_panics() {
         let g = line(2);
         let mut net = Network::new(&g);
-        net.run_rounds("fat", &mut FatMessage, 2);
+        let mut p = fn_protocol(2, 1 << 20, |ctx| {
+            if ctx.node == 0 && ctx.round == 0 {
+                ctx.send(0, 0);
+            }
+        });
+        net.run_rounds("fat", &mut p, 2);
     }
 
     #[test]
     fn opposite_directions_share_a_link() {
         // Both endpoints may use the same link in the same round.
-        struct PingPong;
-        impl Protocol for PingPong {
-            type Msg = ();
-            fn msg_bits(&self, _: &()) -> u64 {
-                1
-            }
-            fn on_round(&mut self, ctx: &mut NodeCtx<'_, ()>) {
-                if ctx.round == 0 {
-                    ctx.send(0, ());
-                }
-            }
-        }
         let g = line(2);
         let mut net = Network::new(&g);
-        let stats = net.run_rounds("pingpong", &mut PingPong, 2);
+        let mut p = fn_protocol(2, 1, |ctx| {
+            if ctx.round == 0 {
+                ctx.send(0, 0);
+            }
+        });
+        let stats = net.run_rounds("pingpong", &mut p, 2);
         assert_eq!(stats.messages, 2);
     }
 
@@ -2244,22 +1669,23 @@ mod tests {
         // list them in ascending sender id (the full-sweep send order),
         // regardless of scheduling.
         struct Spokes {
-            seen: Vec<u32>,
+            seen: Vec<Vec<u32>>,
         }
-        impl Protocol for Spokes {
+        impl ShardedProtocol for Spokes {
             type Msg = u32;
-            fn msg_bits(&self, _: &u32) -> u64 {
+            type Node = Vec<u32>;
+            type Shared = ();
+            fn msg_bits(_: &(), _: &u32) -> u64 {
                 8
             }
-            fn on_round(&mut self, ctx: &mut NodeCtx<'_, u32>) {
+            fn split(&mut self) -> (&(), &mut [Vec<u32>]) {
+                (&(), &mut self.seen)
+            }
+            fn step_node(_: &(), seen: &mut Vec<u32>, ctx: &mut NodeCtx<'_, u32>) {
                 if ctx.round == 0 && ctx.node != 0 {
                     ctx.send(0, ctx.node as u32);
                 }
-                if ctx.node == 0 {
-                    for &(_, m) in ctx.inbox() {
-                        self.seen.push(m);
-                    }
-                }
+                seen.extend(ctx.inbox().iter().map(|&(_, m)| m));
             }
             fn scheduling(&self) -> Scheduling {
                 Scheduling::ActiveSet
@@ -2271,9 +1697,11 @@ mod tests {
         b.add_arc(2, 0);
         let g = b.build();
         let mut net = Network::new(&g);
-        let mut p = Spokes { seen: Vec::new() };
+        let mut p = Spokes {
+            seen: vec![Vec::new(); 4],
+        };
         net.run_rounds("spokes", &mut p, 2);
-        assert_eq!(p.seen, vec![1, 2, 3]);
+        assert_eq!(p.seen[0], vec![1, 2, 3]);
     }
 
     #[test]
@@ -2301,8 +1729,8 @@ mod tests {
 
     #[test]
     fn inert_fault_plan_changes_nothing() {
-        // The fault-aware commit path must be a bit-exact stand-in for
-        // the plain one when the plan never fires.
+        // The fault filter of the commit must be a bit-exact no-op when
+        // the plan never fires.
         let g = line(7);
         let mut plain = Network::new(&g);
         let mut pp = Flood::new(7);
@@ -2341,12 +1769,9 @@ mod tests {
         let g = line(2);
         let mut net = Network::new(&g);
         net.set_fault_plan(Some(FaultPlan::new(9).crash_node(1, 0, Some(4))));
-        let mut p = Metronome {
-            period: 3,
-            ticks_heard: 0,
-        };
+        let mut p = Metronome::new(2, 3);
         let stats = net.run_rounds("metronome", &mut p, 10);
-        assert_eq!(p.ticks_heard, 1);
+        assert_eq!(p.ticks_heard[1], 1);
         // Rounds 6 and 9 sends are delivered (the round-9 one unobserved).
         assert_eq!(stats.messages, 2);
         let fs = net.metrics().faults;

@@ -118,10 +118,6 @@ impl<'a> ShardedProtocol for DiagonalDp<'a> {
         dist_bits(*msg)
     }
 
-    fn shared(&self) -> &Self::Shared {
-        &self.shared
-    }
-
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
         (&self.shared, &mut self.nodes)
     }
@@ -204,7 +200,7 @@ pub fn diagonal_dp(
         },
         nodes,
     };
-    let stats = net.run_rounds_par(phase, &mut proto, rounds + 1);
+    let stats = net.run_rounds(phase, &mut proto, rounds + 1);
     let cur = lane.nodes.iter().map(|&v| proto.nodes[v].cur).collect();
     (cur, stats)
 }
@@ -260,10 +256,6 @@ impl<'a> ShardedProtocol for PrefixSweep<'a> {
 
     fn msg_bits(_: &Self::Shared, msg: &SweepMsg) -> u64 {
         word_bits(msg.job as u64) + dist_bits(msg.dist)
-    }
-
-    fn shared(&self) -> &Self::Shared {
-        &self.shared
     }
 
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
@@ -398,7 +390,7 @@ pub fn prefix_sweep(
         },
         nodes,
     };
-    let stats = net.run_rounds_par(phase, &mut proto, total_rounds);
+    let stats = net.run_rounds(phase, &mut proto, total_rounds);
     // Reassemble the per-lane tables from the per-node state, then
     // finalize locally: fold each position's own input into what arrived.
     let mut out: Vec<Vec<Vec<Dist>>> = lanes

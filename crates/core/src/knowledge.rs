@@ -79,10 +79,6 @@ impl<'i> ShardedProtocol for WaveProtocol<'i> {
         word_bits(m.origin as u64) + word_bits(m.hops) + word_bits(m.weight)
     }
 
-    fn shared(&self) -> &Self::Shared {
-        &self.shared
-    }
-
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
         (&self.shared, &mut self.nodes)
     }
@@ -219,7 +215,7 @@ pub fn acquire(
         nodes: vec![WaveState::default(); n],
     };
     let budget = 4 * (h as u64 + 4) * params.budget_factor;
-    net.run_until_quiet_par("lemma2.5/waves", &mut proto, budget)
+    net.run_until_quiet("lemma2.5/waves", &mut proto, budget)
         .expect("waves terminate within the path length");
     // Per path position: the wave state of the vertex at that position.
     let state: Vec<WaveState> = (0..=h)

@@ -127,10 +127,6 @@ impl<'a, 'i> ShardedProtocol for HopBfsProtocol<'a, 'i> {
         word_bits(m.idx as u64) + word_bits(m.aux)
     }
 
-    fn shared(&self) -> &Self::Shared {
-        &self.shared
-    }
-
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Node]) {
         (&self.shared, &mut self.nodes)
     }
@@ -262,7 +258,7 @@ pub fn hop_constrained_bfs(
             })
             .collect(),
     };
-    net.run_rounds_par(phase, &mut proto, cfg.zeta as u64 + 1);
+    net.run_rounds(phase, &mut proto, cfg.zeta as u64 + 1);
     // Assemble the per-position tables from the path vertices' records.
     let mut table = vec![vec![None; cfg.zeta + 1]; inst.hops() + 1];
     for (v, node) in proto.nodes.into_iter().enumerate() {

@@ -10,37 +10,47 @@
 //!
 //! Run with: `cargo run --release -p rpaths --example congest_primer`
 
-use congest::{Network, NodeCtx, Protocol, Scheduling};
+use congest::{Network, NodeCtx, Scheduling, ShardedProtocol};
 use graphkit::gen::random_digraph;
 
 /// Every node floods the largest node id it has heard; after `D` rounds
 /// everyone agrees on the maximum id — the leader.
+///
+/// A protocol splits its state into a part every node reads (here:
+/// nothing) and one slot per node (here: the best id heard). A step may
+/// touch only its own slot, so the engine is free to step disjoint node
+/// ranges on worker threads.
 struct LeaderElection {
     best: Vec<u64>,
 }
 
-impl Protocol for LeaderElection {
+impl ShardedProtocol for LeaderElection {
     type Msg = u64;
+    type Node = u64;
+    type Shared = ();
 
-    fn msg_bits(&self, id: &u64) -> u64 {
+    fn msg_bits(_: &(), id: &u64) -> u64 {
         congest::word_bits(*id)
     }
 
-    fn on_round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
-        let v = ctx.node;
+    fn split(&mut self) -> (&(), &mut [u64]) {
+        (&(), &mut self.best)
+    }
+
+    fn step_node(_: &(), best: &mut u64, ctx: &mut NodeCtx<'_, u64>) {
         // Round 0: announce yourself. Later: forward improvements only —
         // that is what keeps the message count at O(m·D) worst case and
         // the protocol quiescent once opinions stabilize.
         let mut improved = ctx.round == 0;
         for &(_, id) in ctx.inbox() {
-            if id > self.best[v] {
-                self.best[v] = id;
+            if id > *best {
+                *best = id;
                 improved = true;
             }
         }
         if improved {
             for p in 0..ctx.ports().len() as u32 {
-                ctx.send(p, self.best[v]);
+                ctx.send(p, *best);
             }
         }
     }

@@ -1,18 +1,21 @@
 //! Differential property tests for the active-set round engine and its
-//! sharded-parallel execution path.
+//! fanned-out step phase.
 //!
-//! The engine's activation contract (`Protocol::scheduling`), flat
-//! mailbox arenas, and sharded parallelism are wall-clock optimizations
-//! only: for every protocol in the workspace, an active-set run must
-//! produce *bit-identical* [`congest::RunStats`] (rounds, messages,
-//! bits, cut bits, max message size) and identical outputs to the
-//! full-sweep reference schedule (`Network::set_full_sweep`), and a
-//! parallel run must be bit-identical to a sequential one at every
-//! thread count. These tests drive all five communication primitives,
-//! the Lemma 4.2 hop-BFS, and the end-to-end Theorem 1 solver across
-//! random topologies under both schedules, run every migrated
-//! sharded protocol through the full
-//! `{sequential, 2 threads, 8 threads} × {active-set, full-sweep} ×
+//! The engine's activation contract (`ShardedProtocol::scheduling`),
+//! flat mailbox arenas, and sharded stepping are wall-clock
+//! optimizations only: for every protocol in the workspace, an
+//! active-set run must produce *bit-identical* [`congest::RunStats`]
+//! (rounds, messages, bits, cut bits, max message size) and identical
+//! outputs to the full-sweep reference schedule
+//! (`Network::set_full_sweep`), and a run whose step phase fans out
+//! over worker shards must be bit-identical to a one-thread run at
+//! every thread count. Both sides share the one commit, so delivery
+//! itself is also checked against an engine-independent model in
+//! `tests/primitives_properties.rs`. These tests drive all five
+//! communication primitives, the Lemma 4.2 hop-BFS, and the end-to-end
+//! Theorem 1 solver across random topologies under both schedules, run
+//! every migrated sharded protocol through the full
+//! `{1 thread, 2 threads, 8 threads} × {active-set, full-sweep} ×
 //! {sparse, dense}` matrix plus the degree-skewed star / two-hub /
 //! power-law families (the adversarial inputs for degree-balanced shard
 //! boundaries), and extend the same matrix to *every public solver* —
@@ -200,7 +203,7 @@ proptest! {
     }
 }
 
-/// Runs `f` once on the sequential engine (the reference) and then
+/// Runs `f` once on one thread (the reference) and then
 /// under every configuration of the parallel matrix — thread counts
 /// {2, 8} × schedules {active-set, forced full sweep} — with the
 /// work-threshold fallback disabled so parallelism engages even on
@@ -493,10 +496,6 @@ impl ShardedProtocol for ChaosRecorder {
         48
     }
 
-    fn shared(&self) -> &ChaosShared {
-        &self.shared
-    }
-
     fn split(&mut self) -> (&ChaosShared, &mut [ChaosNode]) {
         (&self.shared, &mut self.nodes)
     }
@@ -566,7 +565,7 @@ fn chaos_run(
             .map(|_| ChaosNode { log: Vec::new() })
             .collect(),
     };
-    let stats = net.run_rounds_par("chaos", &mut proto, send_rounds + 4);
+    let stats = net.run_rounds("chaos", &mut proto, send_rounds + 4);
     (
         proto.nodes.into_iter().map(|nd| nd.log).collect(),
         stats,

@@ -13,6 +13,45 @@ use graphkit::gen::random_digraph;
 use graphkit::{DiGraph, Dist, GraphBuilder};
 use proptest::prelude::*;
 
+/// The recorder's send rule: does `node` send on port `port` in `round`?
+fn rec_fires(seed: u64, node: usize, round: u64, port: usize) -> bool {
+    (node as u64 * 31 + round * 17 + port as u64 * 7 + seed).is_multiple_of(3)
+}
+
+/// The payload of the recorder's send by `node` on `port` in `round`.
+fn rec_payload(node: usize, round: u64, port: usize) -> u64 {
+    ((node as u64) << 32) | (round << 16) | port as u64
+}
+
+/// The per-node inbox logs a correct CONGEST engine must hand the
+/// recorder, derived from its send rule alone: a message sent by `v` on
+/// port `p` in round `r` arrives in round `r + 1` at the port's peer, on
+/// the peer's port for that link, and each inbox lists its messages by
+/// ascending sender, then ascending sender port. Only the port tables
+/// are read from the network.
+fn model_recorder_logs(g: &DiGraph, seed: u64, send_rounds: u64) -> Vec<Vec<(u64, u32, u64)>> {
+    let net = Network::new(g);
+    let mut logs = vec![Vec::new(); g.node_count()];
+    // Rounds, senders and ports ascending: appending in this order
+    // yields every inbox in the required order.
+    for r in 0..send_rounds {
+        for v in 0..g.node_count() {
+            for (p, port) in net.ports(v).iter().enumerate() {
+                if !rec_fires(seed, v, r, p) {
+                    continue;
+                }
+                let back = net
+                    .ports(port.peer)
+                    .iter()
+                    .position(|q| q.link == port.link && q.outgoing != port.outgoing)
+                    .expect("every link has a port at both ends");
+                logs[port.peer].push((r + 1, back as u32, rec_payload(v, r, p)));
+            }
+        }
+    }
+    logs
+}
+
 /// A traffic generator that records exactly what the engine delivers:
 /// every node sends on a pseudo-random subset of its ports each round
 /// and logs its inbox verbatim (round, port, payload). Any change to
@@ -41,10 +80,6 @@ impl ShardedProtocol for Recorder {
         32
     }
 
-    fn shared(&self) -> &RecShared {
-        &self.shared
-    }
-
     fn split(&mut self) -> (&RecShared, &mut [RecNode]) {
         (&self.shared, &mut self.nodes)
     }
@@ -54,10 +89,9 @@ impl ShardedProtocol for Recorder {
             node.log.push((ctx.round, port, msg));
         }
         if ctx.round < shared.send_rounds {
-            let v = ctx.node as u64;
-            for p in 0..ctx.ports().len() as u32 {
-                if (v * 31 + ctx.round * 17 + p as u64 * 7 + shared.seed).is_multiple_of(3) {
-                    ctx.send(p, (v << 32) | (ctx.round << 16) | p as u64);
+            for p in 0..ctx.ports().len() {
+                if rec_fires(shared.seed, ctx.node, ctx.round, p) {
+                    ctx.send(p as u32, rec_payload(ctx.node, ctx.round, p));
                 }
             }
             ctx.wake();
@@ -85,7 +119,7 @@ fn run_recorder(
             .map(|_| RecNode { log: Vec::new() })
             .collect(),
     };
-    let stats = net.run_rounds_par("recorder", &mut proto, send_rounds + 1);
+    let stats = net.run_rounds("recorder", &mut proto, send_rounds + 1);
     (proto.nodes.into_iter().map(|nd| nd.log).collect(), stats)
 }
 
@@ -108,7 +142,7 @@ fn run_recorder_faulty(
             .map(|_| RecNode { log: Vec::new() })
             .collect(),
     };
-    let stats = net.run_rounds_par("recorder", &mut proto, send_rounds + 5);
+    let stats = net.run_rounds("recorder", &mut proto, send_rounds + 5);
     (
         proto.nodes.into_iter().map(|nd| nd.log).collect(),
         stats,
@@ -293,6 +327,41 @@ proptest! {
     }
 
     #[test]
+    fn recorder_delivery_matches_the_reference_model(
+        n in 3usize..48,
+        density in 1usize..4,
+        threads in 2usize..9,
+        nsplits in 0usize..6,
+        seed in 0u64..1000,
+    ) {
+        // The thread-parity suites compare the engine with itself; this
+        // pins delivery to a model that shares no code with the commit,
+        // at width 1 and with every step phase fanned out over random
+        // shard bounds.
+        let g = random_digraph(n, density * n, seed);
+        let send_rounds = 6;
+        let expected = model_recorder_logs(&g, seed, send_rounds);
+        let messages: usize = expected.iter().map(Vec::len).sum();
+        let (logs, stats) = run_recorder(&g, seed, send_rounds, |net| net.set_threads(1));
+        prop_assert_eq!(&logs, &expected, "width 1");
+        prop_assert_eq!(stats.rounds, send_rounds + 1);
+        prop_assert_eq!(stats.messages, messages as u64);
+        prop_assert_eq!(stats.bits, 32 * messages as u64);
+        let mut splits: Vec<usize> = (0..nsplits)
+            .map(|i| 1 + (seed as usize * 13 + i * 29 + threads) % (n - 1))
+            .collect();
+        splits.sort_unstable();
+        splits.dedup();
+        let (par_logs, par_stats) = run_recorder(&g, seed, send_rounds, |net| {
+            net.set_threads(threads);
+            net.set_parallel_threshold(0);
+            net.set_shard_bounds(Some(splits.clone()));
+        });
+        prop_assert_eq!(&par_logs, &expected, "threads {} splits {:?}", threads, &splits);
+        prop_assert_eq!(par_stats, stats);
+    }
+
+    #[test]
     fn fault_plans_never_break_shard_parity(
         n in 3usize..40,
         density in 1usize..4,
@@ -361,8 +430,8 @@ proptest! {
         threads in 2usize..9,
         seed in 0u64..500,
     ) {
-        // `run_until_quiet` (threads = 1 is the sequential drive) and
-        // `run_until_quiet_par` must agree on the quiescence round and
+        // `run_until_quiet` inline (threads = 1) and with every step
+        // phase fanned out must agree on the quiescence round and
         // every RunStats field for the newly migrated quiescence-driven
         // protocols: BFS-tree construction and tree aggregation. Sparse
         // densities also cover the disconnected case, where both paths
